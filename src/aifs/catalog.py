@@ -11,9 +11,7 @@ suite and as executable documentation.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -443,11 +441,5 @@ def run_entry(entry) -> EntryReport:
     )
 
 
-def run_all(names=None, threads: int | None = None) -> list:
-    names = list(names) if names else entry_names()
-    if threads is None:
-        threads = int(os.environ.get("AIFS_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_entry, names))
-    return [run_entry(n) for n in names]
+def run_all(names=None) -> list:
+    return [run_entry(n) for n in (names or entry_names())]

@@ -10,8 +10,9 @@ x -> S x - l that stay in that attractor and on which the geometric side's
 digit word of length n to the negated cycle points.
 
 Two independent cycle searches are provided -- a graph search over lattice
-candidates in the box, and a scan over digit words whose composite fixed
-points are computed exactly -- and they cross-check each other in tests.
+candidates in the box, and a scan over Lyndon digit words (about N^m / m of
+length m) whose composite fixed points are computed exactly in integer
+arithmetic -- and they cross-check each other in tests.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import add, mul
 
 from .errors import BudgetExceeded, RankDeficient
 from .fourier import is_symbol_unimodular
@@ -285,35 +287,87 @@ def find_cycles_by_words(
 
     A word (l_1 ... l_m) has exactly one periodic point,
     x0 = (S^m - I)^{-1} sum_j S^{m-j} l_j, and it automatically lies in the
-    attractor of the dual system. Scanning every word up to length
-    max_period is exhaustive for all cycle periods up to that length and
-    needs no candidate box; the price is the N^m word count.
+    attractor of the dual system. Every cycle of period m is the orbit of
+    exactly one Lyndon word of length m (its least rotation), so scanning
+    the Lyndon words up to length max_period -- about N^m / m of them,
+    generated in lexicographic order by Duval's algorithm -- is exhaustive
+    for all periods up to that length and needs no candidate box.
+
+    The scan runs in integers. With T = a S and L_i = c l_i integral, the
+    prefix sums A_k = T A_{k-1} + a^k L_{w_k} are shared along the word
+    trie, the fixed point is J A_m / D with J = e (S^m - I)^{-1} integral and
+    D = e c a^m, and the rest of the cycle keeps that denominator. Fractions
+    are built only for the returned records. The budget guard still counts
+    all N^m words. A word whose orbit revisits a point strings shorter
+    cycles together and is skipped; an orbit that fails to close raises
+    RuntimeError, since that can only be a bug.
     """
-    s = sys_dual.R
     n = sys_dual.n_digits
     d = sys_dual.dim
     if sum(n**m for m in range(1, max_period + 1)) > budget:
         raise BudgetExceeded("word scan would be larger than %d" % budget)
+    s = sys_dual.R
+    a = lcm(*(e.denominator for row in s.rows for e in row))
+    c = lcm(*(x.denominator for l in sys_dual.digits for x in l))
+    t = _scaled(s.rows, a)
+    digits = _scaled(sys_dual.digits, c)
+    # shifted[k][i] = a^k L_i, the digit term at depth k of the trie
+    shifted = [_scaled(digits, a**k) for k in range(max_period + 1)]
     ident = Matrix.identity(d)
-    cycles = {}
+    per_length = [None]  # m -> (J, D, [e a^m L_i])
     for m in range(1, max_period + 1):
         inv = s.pow(m).add(ident.scale(-1)).inverse()
-        spow = [s.pow(j) for j in range(m)]
-        for word in product(range(n), repeat=m):
-            acc = (Fraction(0),) * d
-            for j, li in enumerate(word, start=1):
-                acc = vec_add(acc, spow[m - j].mat_vec(sys_dual.digits[li]))
-            x = inv.mat_vec(acc)
-            pts, digs = [], []
-            for li in word:
-                pts.append(x)
-                digs.append(li)
-                x = vec_sub(s.mat_vec(x), sys_dual.digits[li])
-            if len(set(pts)) != len(pts):
-                continue  # a power of a shorter word; found at smaller m
-            rec = _canonical(pts, digs)
-            cycles.setdefault(rec.key(), rec)
+        e = lcm(*(x.denominator for row in inv.rows for x in row))
+        per_length.append(
+            (_scaled(inv.rows, e), e * c * a**m, _scaled(digits, e * a**m))
+        )
+    cycles = {}
+    word = [0]
+    accs = [(0,) * d]  # accs[k]: A_k of the current word's length-k prefix
+    while True:
+        m = len(word)
+        for k in range(len(accs), m + 1):
+            accs.append(
+                tuple(map(add, _int_mat_vec(t, accs[-1]), shifted[k][word[k - 1]]))
+            )
+        inv, den, stepped = per_length[m]
+        x = _int_mat_vec(inv, accs[m])
+        pts = []
+        for li in word:
+            pts.append(x)
+            # D (S x - l_i) = T X / a - e a^m L_i, exact for a cycle point
+            x = tuple(y // a - z for y, z in zip(_int_mat_vec(t, x), stepped[li]))
+        if x != pts[0]:
+            raise RuntimeError(
+                "orbit of word %s does not close up" % (tuple(word),)
+            )
+        key = frozenset(pts)
+        # a primitive word can still revisit a point: it then strings
+        # together shorter cycles through that point, found at their lengths
+        if len(key) == m and key not in cycles:
+            cycles[key] = _canonical(
+                [tuple(Fraction(y, den) for y in p) for p in pts], word
+            )
+        # Duval's successor: repeat the word up to max_period, drop trailing
+        # maximal letters, bump the last one
+        while len(word) < max_period:
+            word.append(word[-m])
+        while word and word[-1] == n - 1:
+            word.pop()
+        if not word:
+            break
+        word[-1] += 1
+        del accs[len(word):]
     return sorted(cycles.values(), key=lambda r: r.points)
+
+
+def _scaled(rows, k: int) -> list:
+    """Integer rows k * row for rational rows that k clears."""
+    return [tuple(int(x * k) for x in row) for row in rows]
+
+
+def _int_mat_vec(rows, v) -> tuple:
+    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def classify_extreme(sys_geom: AffineSystem, cycles) -> list:

@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aifs.catalog import simplex_spectrum_digits, simplex_system
+from aifs.catalog import load_entry, simplex_spectrum_digits, simplex_system
 from aifs.cycles_spectrum import (
+    _canonical,
     build_digit_lattice,
     classify_extreme,
     enumerate_box_points,
@@ -17,9 +19,10 @@ from aifs.cycles_spectrum import (
     integer_span_basis,
     spectrum_from_cycles,
 )
-from aifs.errors import RankDeficient
+from aifs.errors import BudgetExceeded, RankDeficient
 from aifs.ifs_core import AffineSystem
-from aifs.linalg_exact import Matrix, frac, fvec
+from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_sub
+from aifs.serialize import frequencies_from_dict, system_from_dict
 
 
 def sys1d(scale, digits):
@@ -151,6 +154,155 @@ def test_cycle_records_satisfy_defining_relation():
                 a - b for a, b in zip(nxt, dual.digits[rec.digit_indices[i]])
             )
             assert nxt == rec.points[(i + 1) % m]
+
+
+def reference_cycles_by_words(sys_dual, max_period):
+    """The plain Fraction scan over every word of every length: the slow
+    reference the Lyndon/integer scan must reproduce exactly."""
+    s = sys_dual.R
+    ident = Matrix.identity(sys_dual.dim)
+    cycles = {}
+    for m in range(1, max_period + 1):
+        inv = s.pow(m).add(ident.scale(-1)).inverse()
+        spow = [s.pow(j) for j in range(m)]
+        for word in product(range(sys_dual.n_digits), repeat=m):
+            acc = (Fraction(0),) * sys_dual.dim
+            for j, li in enumerate(word, start=1):
+                acc = vec_add(acc, spow[m - j].mat_vec(sys_dual.digits[li]))
+            x = inv.mat_vec(acc)
+            pts = []
+            for li in word:
+                pts.append(x)
+                x = vec_sub(s.mat_vec(x), sys_dual.digits[li])
+            if len(set(pts)) != len(pts):
+                continue  # revisits a point: shorter cycles strung together
+            rec = _canonical(pts, list(word))
+            cycles.setdefault(rec.key(), rec)
+    return sorted(cycles.values(), key=lambda r: r.points)
+
+
+def assert_defining_relation(dual, records):
+    for rec in records:
+        m = len(rec.points)
+        for i in range(m):
+            nxt = vec_sub(
+                dual.R.mat_vec(rec.points[i]), dual.digits[rec.digit_indices[i]]
+            )
+            assert nxt == rec.points[(i + 1) % m]
+
+
+def catalog_dual(name):
+    doc = load_entry(name)["system"]
+    return dual_of(system_from_dict(doc), frequencies_from_dict(doc))
+
+
+_small_fracs = st.builds(
+    Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])
+)
+
+
+@st.composite
+def expansive_systems(draw):
+    """Strictly diagonally dominant R whose every Gershgorin disc lies
+    outside the unit disc (so R is expansive), with integer or rational
+    entries and up to four distinct integer or rational digits."""
+    d = draw(st.integers(1, 3))
+    rows = []
+    for i in range(d):
+        row = [draw(_small_fracs) for _ in range(d)]
+        radius = sum(abs(x) for j, x in enumerate(row) if j != i)
+        gap = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2]))
+        row[i] = draw(st.sampled_from([1, -1])) * (1 + radius + gap)
+        rows.append(row)
+    digits = draw(
+        st.lists(
+            st.tuples(*[_small_fracs] * d), min_size=1, max_size=4, unique=True
+        )
+    )
+    return AffineSystem(R=Matrix(rows), digits=tuple(digits))
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@settings(max_examples=40, deadline=None)
+@given(expansive_systems(), st.integers(1, 4))
+def test_word_scan_matches_fraction_reference(dual, max_period):
+    got = find_cycles_by_words(dual, max_period=max_period)
+    assert got == reference_cycles_by_words(dual, max_period)
+    assert_defining_relation(dual, got)
+
+
+def necklace_count(n, m):
+    """Primitive necklaces of length m over n letters (Moebius inversion)."""
+
+    def mobius(k):
+        out, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if k > 1 else out
+
+    divisors = [k for k in range(1, m + 1) if m % k == 0]
+    return sum(mobius(k) * n ** (m // k) for k in divisors) // m
+
+
+def test_word_scan_d3_p2_finds_every_primitive_necklace():
+    dual = catalog_dual("d3-p2")
+    want = sum(necklace_count(4, m) for m in range(1, 7))
+    assert want == 964
+    assert len(find_cycles_by_words(dual, max_period=6)) == want
+
+
+@pytest.mark.parametrize(
+    "dual",
+    [
+        d2p3_pair()[1],
+        catalog_dual("d3-p4"),
+        AffineSystem(
+            R=Matrix([["3/2", 1], [0, "-5/3"]]),
+            digits=((0, 0), (1, 0), (0, 2)),
+        ),
+    ],
+    ids=["d2-p3", "d3-p4", "rational-S"],
+)
+def test_word_cycle_records_satisfy_defining_relation(dual):
+    records = find_cycles_by_words(dual, max_period=4)
+    assert records
+    assert_defining_relation(dual, records)
+
+
+def test_word_scan_budget_guard_counts_all_words():
+    # 2 + 4 + 8 + 16 = 30 words up to period 4
+    assert find_cycles_by_words(CANTOR4_DUAL, max_period=4, budget=30)
+    with pytest.raises(BudgetExceeded):
+        find_cycles_by_words(CANTOR4_DUAL, max_period=4, budget=29)
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+def test_word_scan_skips_primitive_words_through_a_shared_point():
+    # x -> 4x/3 - l sends -9/7 to -12/7 (l = 0) and to -5/7 (l = -1), and
+    # both lead back to it; the Lyndon word of digit indices (0, 2, 2, 1)
+    # walks both 2-cycles in turn and is no cycle of its own
+    dual = sys1d("4/3", [0, "1/3", -1])
+    cycles = find_cycles_by_words(dual, max_period=4)
+    assert cycles == reference_cycles_by_words(dual, 4)
+    pts = {frozenset(p[0] for p in c.points) for c in cycles}
+    assert frozenset({Fraction(-9, 7), Fraction(-12, 7)}) in pts
+    assert frozenset({Fraction(-9, 7), Fraction(-5, 7)}) in pts
+    word = (0, 2, 2, 1)
+    rotations = {word[i:] + word[:i] for i in range(4)}
+    assert not any(c.digit_indices in rotations for c in cycles)
+
+
+def test_word_scan_raises_on_a_broken_fixed_point(monkeypatch):
+    # a wrong (S^m - I)^{-1} gives points that do not close up; that is a
+    # bug to report, not a word to skip
+    monkeypatch.setattr(Matrix, "inverse", lambda self: Matrix.identity(self.n))
+    with pytest.raises(RuntimeError):
+        find_cycles_by_words(CANTOR4_DUAL, max_period=2)
 
 
 # ---------------------------------------------------------------- spectra
