@@ -58,6 +58,7 @@ from .torus_dynamics import (
     orbit_distance_bound,
 )
 from .verify import (
+    Analysis,
     block_root_family,
     certify_all_pairs,
     completeness_q,
@@ -68,6 +69,7 @@ from .verify import (
 __all__ = [
     "AffineSystem",
     "AifsError",
+    "Analysis",
     "BorderlineExpansive",
     "BudgetExceeded",
     "DualPair",

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
+from .cycles_spectrum import extreme_cycles
 from .errors import AifsError
 from .fourier import invariance_residual, normalization_residual
 from .hadamard import check_hadamard, conjecture_probe
-from .ifs_core import AffineSystem
-from .linalg_exact import Matrix
+from .ifs_core import simplex_digits, simplex_system  # noqa: F401 (re-exported)
 from .serialize import (
     frequencies_from_dict,
     parse_frac,
@@ -29,7 +29,6 @@ from .serialize import (
     to_jsonable,
 )
 from .torus_dynamics import (
-    find_zeros,
     finite_bound,
     has_zero_weighted,
     is_invariant,
@@ -38,6 +37,7 @@ from .torus_dynamics import (
     orbit_distance_bound,
 )
 from .verify import (
+    Analysis,
     block_root_family,
     certify_all_pairs,
     completeness_q,
@@ -48,22 +48,6 @@ from .verify import (
 
 # ---------------------------------------------------------------------------
 # constructors for the named families
-
-
-def simplex_digits(d: int) -> tuple:
-    zero = tuple(Fraction(0) for _ in range(d))
-    units = tuple(
-        tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-    )
-    return (zero,) + units
-
-
-def simplex_system(p: int, d: int, name: str = "") -> AffineSystem:
-    return AffineSystem(
-        R=Matrix.identity(d).scale(p),
-        digits=simplex_digits(d),
-        name=name or "simplex-p%d-d%d" % (p, d),
-    )
 
 
 def simplex_spectrum_digits(p: int, d: int) -> tuple:
@@ -140,68 +124,17 @@ def _register(kind):
     return deco
 
 
-class _Ctx:
-    """Per-entry lazy cache of the expensive intermediate objects."""
-
-    def __init__(self, doc: dict):
-        self.doc = doc
-        self.sys = system_from_dict(doc["system"])
-        self.freqs = frequencies_from_dict(doc["system"])
-        self._cache = {}
-
-    @property
-    def dual(self) -> AffineSystem:
-        if "dual" not in self._cache:
-            if self.freqs is None:
-                raise AifsError("entry has no frequency set")
-            self._cache["dual"] = AffineSystem(
-                R=self.sys.R.transpose(),
-                digits=self.freqs,
-                name=self.sys.name + "-dual",
-            )
-        return self._cache["dual"]
-
-    @property
-    def s_matrix(self) -> Matrix:
-        return self.sys.R.transpose()
-
-    def zeros(self):
-        if "zeros" not in self._cache:
-            self._cache["zeros"] = find_zeros(self.sys)
-        return self._cache["zeros"]
-
-    def extreme(self, max_period: int = 12):
-        key = ("extreme", max_period)
-        if key not in self._cache:
-            from .cycles_spectrum import extreme_cycles
-
-            self._cache[key] = extreme_cycles(
-                self.sys, self.dual, max_period=max_period
-            )
-        return self._cache[key]
-
-    def spectrum(self, level: int):
-        key = ("spectrum", level)
-        if key not in self._cache:
-            from .cycles_spectrum import spectrum_from_cycles
-
-            self._cache[key] = spectrum_from_cycles(
-                self.dual, self.extreme(), level
-            )
-        return self._cache[key]
-
-
 @_register("hadamard")
-def _chk_hadamard(ctx: _Ctx, spec: dict):
-    triple = check_hadamard(ctx.sys.R, ctx.sys.digits, ctx.freqs)
+def _chk_hadamard(an: Analysis, spec: dict):
+    triple = check_hadamard(an.sys.R, an.sys.digits, an.freqs)
     ok = triple.certified == spec.get("expect_certified", True)
     ok = ok and triple.defect <= spec.get("max_defect", 1e-12)
     return ok, {"certified": triple.certified, "defect": triple.defect}
 
 
 @_register("zeros")
-def _chk_zeros(ctx: _Ctx, spec: dict):
-    zs = ctx.zeros()
+def _chk_zeros(an: Analysis, spec: dict):
+    zs = an.zeros
     want = tuple(sorted(parse_vec(p) for p in spec.get("expect_points", [])))
     ok = (
         zs.points == want
@@ -217,22 +150,22 @@ def _chk_zeros(ctx: _Ctx, spec: dict):
 
 
 @_register("zeros_invariant")
-def _chk_zeros_invariant(ctx: _Ctx, spec: dict):
-    zs = ctx.zeros()
-    inv = is_invariant(ctx.s_matrix, zs.points)
+def _chk_zeros_invariant(an: Analysis, spec: dict):
+    zs = an.zeros
+    inv = is_invariant(an.sys.R.transpose(), zs.points)
     return inv == spec.get("expect", True), {"invariant": inv}
 
 
 @_register("finite_bound")
-def _chk_finite_bound(ctx: _Ctx, spec: dict):
-    rep = finite_bound(ctx.s_matrix, ctx.zeros().points)
+def _chk_finite_bound(an: Analysis, spec: dict):
+    rep = finite_bound(an.sys.R.transpose(), an.zeros.points)
     ok = rep.size == spec["expect_size"] and rep.bound == spec["expect_bound"]
     return ok, {"size": rep.size, "bound": rep.bound}
 
 
 @_register("distance_bound")
-def _chk_distance_bound(ctx: _Ctx, spec: dict):
-    rep = orbit_distance_bound(ctx.s_matrix, ctx.zeros())
+def _chk_distance_bound(an: Analysis, spec: dict):
+    rep = orbit_distance_bound(an.sys.R.transpose(), an.zeros)
     ok = (
         rep.delta_sq == parse_frac(spec["expect_delta_sq"])
         and rep.bound == spec["expect_bound"]
@@ -246,8 +179,8 @@ def _chk_distance_bound(ctx: _Ctx, spec: dict):
 
 
 @_register("orbit")
-def _chk_orbit(ctx: _Ctx, spec: dict):
-    res = orbit(ctx.s_matrix, parse_vec(spec["x"]))
+def _chk_orbit(an: Analysis, spec: dict):
+    res = orbit(an.sys.R.transpose(), parse_vec(spec["x"]))
     ok = res.period == spec["expect_period"] and res.preperiod == spec.get(
         "expect_preperiod", 0
     )
@@ -255,42 +188,40 @@ def _chk_orbit(ctx: _Ctx, spec: dict):
 
 
 @_register("extreme_cycles")
-def _chk_extreme_cycles(ctx: _Ctx, spec: dict):
-    cycles = ctx.extreme(max_period=spec.get("max_period", 12))
+def _chk_extreme_cycles(an: Analysis, spec: dict):
+    if spec.get("max_period", an.max_period) != an.max_period:
+        an = replace(an, max_period=spec["max_period"])
+    cycles = an.extreme
     got = {frozenset(c.points) for c in cycles}
     want = {
         frozenset(parse_vec(p) for p in cyc) for cyc in spec["expect"]
     }
     ok = got == want
     if ok and spec.get("cross_check_words"):
-        from .cycles_spectrum import classify_extreme, find_cycles_by_words
-
-        wcycles = classify_extreme(
-            ctx.sys, find_cycles_by_words(ctx.dual, max_period=6)
-        )
-        ok = {frozenset(c.points) for c in wcycles if c.extreme} == want
+        words = extreme_cycles(an.sys, an.dual, max_period=6, via="words")
+        ok = {frozenset(c.points) for c in words} == want
     return ok, {"cycles": [sorted(c.points) for c in cycles]}
 
 
 @_register("spectrum")
-def _chk_spectrum(ctx: _Ctx, spec: dict):
-    ss = ctx.spectrum(spec["level"])
+def _chk_spectrum(an: Analysis, spec: dict):
+    ss = an.spectrum(spec["level"])
     want = tuple(sorted(parse_vec(v) for v in spec["expect"]))
     return ss.elements == want, {"size": ss.size, "elements": ss.elements}
 
 
 @_register("spectrum_range_1d")
-def _chk_spectrum_range(ctx: _Ctx, spec: dict):
-    ss = ctx.spectrum(spec["level"])
+def _chk_spectrum_range(an: Analysis, spec: dict):
+    ss = an.spectrum(spec["level"])
     vals = sorted(v[0] for v in ss.elements)
     want = [Fraction(k) for k in range(spec["lo"], spec["hi"] + 1)]
     return vals == want, {"size": ss.size, "lo": min(vals), "hi": max(vals)}
 
 
 @_register("pairs_orthogonal")
-def _chk_pairs(ctx: _Ctx, spec: dict):
-    ss = ctx.spectrum(spec["level"])
-    rep = certify_all_pairs(ctx.sys, ss.elements)
+def _chk_pairs(an: Analysis, spec: dict):
+    ss = an.spectrum(spec["level"])
+    rep = certify_all_pairs(an.sys, ss.elements)
     ok = rep.all_orthogonal == spec.get("expect_all", True)
     return ok, {
         "pairs": rep.n_pairs,
@@ -300,9 +231,9 @@ def _chk_pairs(ctx: _Ctx, spec: dict):
 
 
 @_register("q_range")
-def _chk_q_range(ctx: _Ctx, spec: dict):
-    ss = ctx.spectrum(spec["level"])
-    rep = completeness_q(ctx.sys, ss.elements, samples=spec.get("samples", 8))
+def _chk_q_range(an: Analysis, spec: dict):
+    ss = an.spectrum(spec["level"])
+    rep = completeness_q(an.sys, ss.elements, samples=spec.get("samples", 8))
     ok = rep.q_min >= spec["lo"] and rep.q_max <= 1.0 + rep.error_bound + 1e-8
     return ok, {
         "q_min": rep.q_min,
@@ -312,9 +243,9 @@ def _chk_q_range(ctx: _Ctx, spec: dict):
 
 
 @_register("family_size")
-def _chk_family_size(ctx: _Ctx, spec: dict):
+def _chk_family_size(an: Analysis, spec: dict):
     grid = rational_grid_1d(spec["max_den"], spec["lo"], spec["hi"])
-    rep = max_orthogonal_family(ctx.sys, grid)
+    rep = max_orthogonal_family(an.sys, grid)
     ok = rep.size == spec["expect"] and rep.certified_maximum
     return ok, {
         "size": rep.size,
@@ -325,15 +256,15 @@ def _chk_family_size(ctx: _Ctx, spec: dict):
 
 
 @_register("has_zero_weighted")
-def _chk_hzw(ctx: _Ctx, spec: dict):
-    got = has_zero_weighted(ctx.sys)
+def _chk_hzw(an: Analysis, spec: dict):
+    got = has_zero_weighted(an.sys)
     return got == spec["expect"], {"has_zero": got}
 
 
 @_register("min_sum")
-def _chk_min_sum(ctx: _Ctx, spec: dict):
-    p = int(ctx.sys.R.rows[0][0])
-    rep = min_sum_report(p, ctx.sys.dim, spec["n_max"])
+def _chk_min_sum(an: Analysis, spec: dict):
+    p = int(an.sys.R.rows[0][0])
+    rep = min_sum_report(p, an.sys.dim, spec["n_max"])
     ok = rep.verdict == spec["expect_verdict"]
     if "min_scaled" in spec and rep.scaled_inf is not None:
         ok = ok and rep.scaled_inf >= spec["min_scaled"]
@@ -343,25 +274,25 @@ def _chk_min_sum(ctx: _Ctx, spec: dict):
 
 
 @_register("invariance_residual")
-def _chk_invariance(ctx: _Ctx, spec: dict):
-    val = invariance_residual(ctx.sys, parse_vec(spec["x"]))
+def _chk_invariance(an: Analysis, spec: dict):
+    val = invariance_residual(an.sys, parse_vec(spec["x"]))
     return val <= spec["max"], {"residual": val}
 
 
 @_register("normalization")
-def _chk_normalization(ctx: _Ctx, spec: dict):
+def _chk_normalization(an: Analysis, spec: dict):
     worst = max(
-        normalization_residual(ctx.sys, ctx.dual, x)
-        for x in halton_points(spec.get("samples", 8), ctx.sys.dim)
+        normalization_residual(an.sys, an.dual, x)
+        for x in halton_points(spec.get("samples", 8), an.sys.dim)
     )
     return worst <= spec["max"], {"max_residual": worst}
 
 
 @_register("block_root")
-def _chk_block_root(ctx: _Ctx, spec: dict):
-    p = int(ctx.sys.R.rows[0][0])
+def _chk_block_root(an: Analysis, spec: dict):
+    p = int(an.sys.R.rows[0][0])
     rep = block_root_family(
-        p, ctx.sys.dim, spec["blocks"], count=spec.get("count", 4)
+        p, an.sys.dim, spec["blocks"], count=spec.get("count", 4)
     )
     ok = rep.z0 == parse_vec(spec["expect_z0"])
     ok = ok and rep.z0_is_zero and rep.all_certified
@@ -378,8 +309,8 @@ def _chk_block_root(ctx: _Ctx, spec: dict):
 
 
 @_register("probe")
-def _chk_probe(ctx: _Ctx, spec: dict):
-    rep = conjecture_probe(ctx.sys, ctx.freqs)
+def _chk_probe(an: Analysis, spec: dict):
+    rep = conjecture_probe(an.sys, an.freqs)
     ok = list(rep.verdicts) == list(spec["expect"])
     return ok, {
         "verdicts": rep.verdicts,
@@ -412,7 +343,9 @@ class EntryReport:
 
 def run_entry(entry) -> EntryReport:
     doc = load_entry(entry) if isinstance(entry, str) else entry
-    ctx = _Ctx(doc)
+    an = Analysis(
+        system_from_dict(doc["system"]), frequencies_from_dict(doc["system"])
+    )
     outcomes = []
     t_entry = time.perf_counter()
     for spec in doc.get("checks", []):
@@ -425,7 +358,7 @@ def run_entry(entry) -> EntryReport:
             )
             continue
         try:
-            ok, detail = fn(ctx, spec)
+            ok, detail = fn(an, spec)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, {"error": "%s: %s" % (type(exc).__name__, exc)}
         outcomes.append(

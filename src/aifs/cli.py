@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fourier import TruncationPolicy, eval_mu_hat
 from .hadamard import check_hadamard, conjecture_probe
-from .ifs_core import AffineSystem, attractor
+from .ifs_core import attractor
 from .serialize import (
     frequencies_from_dict,
     parse_vec,
@@ -47,7 +47,7 @@ from .torus_dynamics import (
     orbit,
     orbit_distance_bound,
 )
-from .verify import certify_all_pairs, completeness_q
+from .verify import Analysis, certify_all_pairs, completeness_q
 
 USAGE_ERRORS = (
     AifsError,
@@ -78,10 +78,12 @@ def _require_freqs(freqs):
     return freqs
 
 
-def _dual(sys: AffineSystem, freqs) -> AffineSystem:
-    return AffineSystem(
-        R=sys.R.transpose(), digits=tuple(freqs), name=sys.name + "-dual"
+def _load_analysis(args):
+    doc, sys, freqs = _load_system(args.system)
+    an = Analysis(
+        sys, _require_freqs(freqs), max_period=args.max_period, via=args.via
     )
+    return doc, an
 
 
 def _parse_point(text: str):
@@ -214,40 +216,30 @@ def _cmd_dn(args):
 
 
 def _cmd_cycles(args):
-    from .cycles_spectrum import extreme_cycles
-
-    doc, sys, freqs = _load_system(args.system)
-    dual = _dual(sys, _require_freqs(freqs))
-    cycles = extreme_cycles(
-        sys, dual, max_period=args.max_period, via=args.via
-    )
+    doc, an = _load_analysis(args)
     payload = {
         "via": args.via,
-        "count": len(cycles),
+        "count": len(an.extreme),
         "cycles": [
-            {"points": list(c.points), "period": c.period} for c in cycles
+            {"points": list(c.points), "period": c.period} for c in an.extreme
         ],
     }
     return doc, {"extreme_cycles": payload}, 0
 
 
 def _cmd_spectrum(args):
-    from .cycles_spectrum import extreme_cycles, spectrum_from_cycles
-
-    doc, sys, freqs = _load_system(args.system)
-    dual = _dual(sys, _require_freqs(freqs))
-    cycles = extreme_cycles(sys, dual, max_period=args.max_period, via=args.via)
-    ss = spectrum_from_cycles(dual, cycles, args.level)
+    doc, an = _load_analysis(args)
+    ss = an.spectrum(args.level)
     if args.csv:
         _write_csv(
             args.csv,
             [[float(c) for c in lam] for lam in ss.elements],
-            ["l%d" % i for i in range(sys.dim)],
+            ["l%d" % i for i in range(an.sys.dim)],
         )
     payload = {
         "level": ss.level,
         "size": ss.size,
-        "cycles": len(cycles),
+        "cycles": len(an.extreme),
         "elements": ss.elements if ss.size <= args.print_cap else None,
         "csv": args.csv,
     }
@@ -255,14 +247,10 @@ def _cmd_spectrum(args):
 
 
 def _cmd_verify_onb(args):
-    from .cycles_spectrum import extreme_cycles, spectrum_from_cycles
-
-    doc, sys, freqs = _load_system(args.system)
-    dual = _dual(sys, _require_freqs(freqs))
-    cycles = extreme_cycles(sys, dual, max_period=args.max_period, via=args.via)
-    ss = spectrum_from_cycles(dual, cycles, args.level)
-    pairs = certify_all_pairs(sys, ss.elements)
-    qrep = completeness_q(sys, ss.elements, samples=args.samples)
+    doc, an = _load_analysis(args)
+    ss = an.spectrum(args.level)
+    pairs = certify_all_pairs(an.sys, ss.elements)
+    qrep = completeness_q(an.sys, ss.elements, samples=args.samples)
     if pairs.not_orthogonal:
         verdict, rc = "not-orthogonal", 1
     elif pairs.undetermined:

@@ -383,6 +383,24 @@ def classify_extreme(sys_geom: AffineSystem, cycles) -> list:
     ]
 
 
+def search_cycles(
+    sys_geom: AffineSystem,
+    sys_dual: AffineSystem,
+    max_period: int = 64,
+    via: str = "box",
+) -> list:
+    """Every cycle of the dual system up to max_period, through either
+    search route (the word scan is capped at period 8)."""
+    if via == "box":
+        dual_lattice = build_digit_lattice(sys_geom).dual()
+        lo, hi = bounding_box(sys_dual)
+        cands = enumerate_box_points(dual_lattice, lo, hi)
+        return find_cycles_in_box(sys_dual, cands, max_period=max_period)
+    if via == "words":
+        return find_cycles_by_words(sys_dual, max_period=min(max_period, 8))
+    raise ValueError("via must be 'box' or 'words'")
+
+
 def extreme_cycles(
     sys_geom: AffineSystem,
     sys_dual: AffineSystem,
@@ -390,15 +408,7 @@ def extreme_cycles(
     via: str = "box",
 ) -> list:
     """Extreme cycles of the dual system, through either search route."""
-    if via == "box":
-        dual_lattice = build_digit_lattice(sys_geom).dual()
-        lo, hi = bounding_box(sys_dual)
-        cands = enumerate_box_points(dual_lattice, lo, hi)
-        cycles = find_cycles_in_box(sys_dual, cands, max_period=max_period)
-    elif via == "words":
-        cycles = find_cycles_by_words(sys_dual, max_period=min(max_period, 8))
-    else:
-        raise ValueError("via must be 'box' or 'words'")
+    cycles = search_cycles(sys_geom, sys_dual, max_period, via)
     return [c for c in classify_extreme(sys_geom, cycles) if c.extreme]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import Q_CAP, vanishing_sum
+from .cyclotomy import vanishing_sum
 from .errors import BudgetExceeded, ExactnessUnavailable
 from .ifs_core import AffineSystem
 from .linalg_exact import fvec, vec_dot
@@ -40,7 +40,7 @@ def _rational_phases(sys: AffineSystem, x) -> list:
     return [vec_dot(b, x) % 1 for b in sys.digits]
 
 
-def eval_symbol(sys: AffineSystem, x, q_cap: int = Q_CAP) -> SymbolValue:
+def eval_symbol(sys: AffineSystem, x) -> SymbolValue:
     """Evaluate m(x). Rational x gets an exact zero/non-zero certificate."""
     try:
         xr = fvec(x)
@@ -55,7 +55,7 @@ def eval_symbol(sys: AffineSystem, x, q_cap: int = Q_CAP) -> SymbolValue:
         if abs(val) > ZERO_PREFILTER:
             return SymbolValue(val, False, True)
         try:
-            zero = vanishing_sum(sys.weights, phases, q_cap=q_cap)
+            zero = vanishing_sum(sys.weights, phases)
         except ExactnessUnavailable:
             return SymbolValue(val, False, False)
         return SymbolValue(0j if zero else val, zero, True)
@@ -100,17 +100,6 @@ class MuHatValue:
     terms_used: int
 
 
-def _contraction(sys: AffineSystem):
-    cached = sys.__dict__.get("_mu_contraction")
-    if cached is None:
-        from .linalg_exact import contraction_data
-
-        # (R^T)^{-1} has the same singular values as R^{-1}
-        cached = contraction_data(sys.r_inverse.to_float())
-        object.__setattr__(sys, "_mu_contraction", cached)
-    return cached
-
-
 def _phase_gradient(sys: AffineSystem) -> float:
     """theta = 2 pi sum_b w_b |b|, the Lipschitz bound |m(y) - 1| <= theta|y|."""
     return 2.0 * math.pi * sum(
@@ -135,9 +124,9 @@ def eval_mu_hat(
     except (TypeError, ValueError):
         exact = False
         y = tuple(float(c) for c in x)
-    sinv = sys.r_inverse.transpose()
+    sinv = sys.s_inverse
     sinv_f = sinv.to_float()
-    big_c, c = _contraction(sys)
+    big_c, c = sys.contraction
     theta = _phase_gradient(sys)
     xnorm = math.hypot(*[float(v) for v in y]) or 1.0
     prod = complex(1.0)
@@ -167,7 +156,7 @@ def invariance_residual(
     sys: AffineSystem, x, policy: TruncationPolicy = TruncationPolicy()
 ) -> float:
     """|mu^(x) - m(S^{-1}x) mu^(S^{-1}x)| with S = R^T; zero in exact arithmetic."""
-    sinv = sys.r_inverse.transpose()
+    sinv = sys.s_inverse
     y = sinv.mat_vec(fvec(x))
     lhs = eval_mu_hat(sys, x, policy)
     rhs = eval_mu_hat(sys, y, policy)
@@ -187,10 +176,10 @@ def mu_hat_grid(
     Parseval diagnostics, where exact zero certificates are irrelevant.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    sinv_t = sys.r_inverse.transpose().to_float().T
+    sinv_t = sys.s_inverse.to_float().T
     bmat = np.array([[float(c) for c in d] for d in sys.digits])
     wvec = np.array([float(w) for w in sys.weights])
-    big_c, c = _contraction(sys)
+    big_c, c = sys.contraction
     theta = _phase_gradient(sys)
     xnorm = max(float(np.linalg.norm(xs, axis=1).max()), 1.0)
     vals = np.ones(len(xs), dtype=complex)

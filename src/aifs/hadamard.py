@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import ExactnessUnavailable
 from .fourier import TruncationPolicy, eval_mu_hat
 from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, fvec, vec_dot, vec_sub
+from .verify import Analysis, completeness_q, pair_statuses
 
 Vec = tuple
 
@@ -39,7 +42,7 @@ class HadamardTriple:
         return len(self.b_digits)
 
 
-def check_hadamard(r: Matrix, b_digits, l_digits, q_cap=None) -> HadamardTriple:
+def check_hadamard(r: Matrix, b_digits, l_digits) -> HadamardTriple:
     """Certify or refute unitarity of the scaled digit matrix.
 
     Columns indexed by b are orthonormal iff for every pair l != l' the sum
@@ -66,14 +69,11 @@ def check_hadamard(r: Matrix, b_digits, l_digits, q_cap=None) -> HadamardTriple:
     defect = float(np.abs(h.conj().T @ h - np.eye(n)).max())
     # exact certificate
     certified = True
-    kwargs = {} if q_cap is None else {"q_cap": q_cap}
     try:
         for i in range(n):
             for j in range(i + 1, n):
                 diff = vec_sub(l_digits[i], l_digits[j])
-                if not vanishing_sum(
-                    [1] * n, [vec_dot(x, diff) for x in rb], **kwargs
-                ):
+                if not vanishing_sum([1] * n, [vec_dot(x, diff) for x in rb]):
                     certified = False
                     break
             if not certified:
@@ -103,12 +103,9 @@ def make_dual_pair(sys_geom: AffineSystem, l_digits, require: bool = True) -> Du
         raise ValueError(
             "not a certified compatible pair (float defect %.3g)" % triple.defect
         )
-    sys_dual = AffineSystem(
-        R=sys_geom.R.transpose(),
-        digits=triple.l_digits,
-        name=(sys_geom.name + "-dual") if sys_geom.name else "dual",
+    return DualPair(
+        triple=triple, sys_geom=sys_geom, sys_dual=sys_geom.dual(triple.l_digits)
     )
-    return DualPair(triple=triple, sys_geom=sys_geom, sys_dual=sys_dual)
 
 
 # ---------------------------------------------------------------------------
@@ -198,57 +195,33 @@ def conjecture_probe(
     Parseval sums. Finite-level evidence only -- never a proof -- and the
     report says so.
     """
-    from .cycles_spectrum import (
-        classify_extreme,
-        find_cycles_by_words,
-        spectrum_from_cycles,
-    )
-    from .verify import completeness_q, orthogonal_pair
-
     triple = check_hadamard(sys_geom.R, sys_geom.digits, l_digits)
     if not triple.certified:
         raise ValueError("probe requires a certified compatible pair")
-    orientations = []
+    # the swap (R^T, L) has (R, B) as its own dual
     sides = [
-        ("R,B,L", sys_geom, triple.l_digits),
+        ("R,B,L", Analysis(sys_geom, triple.l_digits, max_period, "words")),
         (
             "R^T,L,B",
-            AffineSystem(
-                R=sys_geom.R.transpose(),
-                digits=triple.l_digits,
-                name=(sys_geom.name + "-swap") if sys_geom.name else "swap",
+            Analysis(
+                sys_geom.dual(triple.l_digits), triple.b_digits,
+                max_period, "words",
             ),
-            triple.b_digits,
         ),
     ]
+    orientations = []
     rng = random.Random(seed)
-    for label, geom, spec_digits in sides:
-        dual = AffineSystem(
-            R=geom.R.transpose(), digits=spec_digits, name=label + "-dual"
-        )
-        cycles = find_cycles_by_words(dual, max_period=max_period)
-        cycles = classify_extreme(geom, cycles)
-        extreme = [c for c in cycles if c.extreme]
-        lv = level if level is not None else _probe_level(dual.n_digits)
-        spectrum = spectrum_from_cycles(dual, extreme, lv)
-        elements = list(spectrum.elements)
-        pairs = [
-            (i, j)
-            for i in range(len(elements))
-            for j in range(i + 1, len(elements))
-        ]
+    for label, an in sides:
+        lv = level if level is not None else _probe_level(an.dual.n_digits)
+        spectrum = an.spectrum(lv)
+        elements = spectrum.elements
+        pairs = list(combinations(range(len(elements)), 2))
         if len(pairs) > pair_budget:
             pairs = rng.sample(pairs, pair_budget)
-        counts = {"certified": 0, "not-orthogonal": 0, "undetermined": 0}
-        memo = {}
-        for i, j in pairs:
-            deltakey = vec_sub(elements[i], elements[j])
-            status = memo.get(deltakey)
-            if status is None:
-                status = orthogonal_pair(geom, elements[i], elements[j]).status
-                memo[deltakey] = status
-            counts[status] += 1
-        qrep = completeness_q(geom, elements, samples=samples)
+        counts = Counter(
+            status for _, _, status in pair_statuses(an.sys, elements, pairs)
+        )
+        qrep = completeness_q(an.sys, elements, samples=samples)
         slack = qrep.error_bound + 1e-8
         if counts["not-orthogonal"] > 0 or qrep.q_max > 1.0 + slack:
             verdict = "counterexample-evidence"
@@ -259,8 +232,8 @@ def conjecture_probe(
         orientations.append(
             OrientationReport(
                 label=label,
-                cycles=tuple(cycles),
-                extreme_cycles=tuple(extreme),
+                cycles=tuple(an.cycles),
+                extreme_cycles=tuple(an.extreme),
                 spectrum_size=spectrum.size,
                 level=lv,
                 pairs_checked=len(pairs),

@@ -13,6 +13,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -74,18 +75,30 @@ class AffineSystem:
         """The i-th contraction x -> R^{-1}(x + digits[i]), exact."""
         return self.r_inverse.mat_vec(vec_add(fvec(x), self.digits[i]))
 
-    # R^{-1} is needed constantly; cache it on first use (object is frozen,
-    # so stash via object.__setattr__)
-    @property
+    @cached_property
     def r_inverse(self) -> Matrix:
-        inv = self.__dict__.get("_rinv")
-        if inv is None:
-            inv = self.R.inverse()
-            object.__setattr__(self, "_rinv", inv)
-        return inv
+        return self.R.inverse()
 
-    def transpose_matrix(self) -> Matrix:
-        return self.R.transpose()
+    @cached_property
+    def s_inverse(self) -> Matrix:
+        """S^{-1} = (R^T)^{-1}, the pull-back of the dual (frequency) side."""
+        return self.r_inverse.transpose()
+
+    @cached_property
+    def contraction(self) -> tuple:
+        """Contraction data (C, c) of R^{-1}; (R^T)^{-1} has the same
+        singular values, so they bound S^{-n} as well."""
+        return contraction_data(self.r_inverse.to_float())
+
+    def dual(self, frequencies) -> "AffineSystem":
+        """The dual system (R^T, L) whose digits are the frequencies L.
+
+        Its own dual with the digits B is (R, B) again."""
+        return AffineSystem(
+            R=self.R.transpose(),
+            digits=tuple(frequencies),
+            name=(self.name + "-dual") if self.name else "dual",
+        )
 
     def describe(self) -> dict:
         return {
@@ -97,6 +110,24 @@ class AffineSystem:
         }
 
 
+def simplex_digits(d: int) -> tuple:
+    """The origin followed by the d unit vectors."""
+    zero = tuple(Fraction(0) for _ in range(d))
+    units = tuple(
+        tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
+    )
+    return (zero,) + units
+
+
+def simplex_system(p: int, d: int, name: str = "") -> AffineSystem:
+    """Scale p times the identity with the simplex digits."""
+    return AffineSystem(
+        R=Matrix.identity(d).scale(p),
+        digits=simplex_digits(d),
+        name=name or "simplex-p%d-d%d" % (p, d),
+    )
+
+
 def bounding_box(sys: AffineSystem) -> tuple:
     """A closed cube [-r, r]^d certified (up to the 1% norm inflation) to
     contain the attractor.
@@ -106,7 +137,7 @@ def bounding_box(sys: AffineSystem) -> tuple:
     """
     if all(all(c == 0 for c in b) for b in sys.digits):
         return (0.0,) * sys.dim, (0.0,) * sys.dim
-    big_c, c = contraction_data(sys.r_inverse.to_float())
+    big_c, c = sys.contraction
     bmax = max(
         float(np.linalg.norm([float(x) for x in b])) for b in sys.digits
     )

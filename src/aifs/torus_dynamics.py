@@ -26,7 +26,7 @@ import numpy as np
 from .cyclotomy import vanishing_sum
 from .errors import AifsError, BudgetExceeded
 from .fourier import eval_symbol
-from .ifs_core import AffineSystem
+from .ifs_core import AffineSystem, simplex_digits
 from .linalg_exact import Matrix, frac, fvec
 
 Vec = tuple
@@ -42,13 +42,6 @@ def _dist_sq_to_lattice(x) -> Fraction:
         f = frac(c) % 1
         total += min(f, 1 - f) ** 2
     return total
-
-
-def _simplex_digits(d: int) -> set:
-    out = {tuple(Fraction(0) for _ in range(d))}
-    for i in range(d):
-        out.add(tuple(Fraction(int(i == j)) for j in range(d)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +182,7 @@ def _zeros_grid(sys: AffineSystem, n_grid: int) -> ZeroSet:
 
 def find_zeros(sys: AffineSystem, n_grid: int = 64) -> ZeroSet:
     digit_set = set(sys.digits)
-    if sys.uniform and digit_set == _simplex_digits(sys.dim):
+    if sys.uniform and digit_set == set(simplex_digits(sys.dim)):
         if sys.dim == 1:
             return ZeroSet(
                 points=((Fraction(1, 2),),), complete=True, tag="simplex-d1"

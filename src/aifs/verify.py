@@ -11,26 +11,26 @@ comparisons.
 Completeness of a candidate spectrum is probed through the Parseval sum
 Q(x) = sum_lam |mu^(x + lam)|^2, which equals 1 identically for an
 orthonormal basis and drops below it when frequencies are missing.
+
+``Analysis`` stages the construction the CLI, the catalog and the probe
+share: dual system, zeros, cycles, extreme cycles, spectrum by level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 
 import numpy as np
 
+from .cycles_spectrum import classify_extreme, search_cycles, spectrum_from_cycles
 from .errors import AifsError, BudgetExceeded
-from .fourier import (
-    TruncationPolicy,
-    _contraction,
-    _phase_gradient,
-    eval_symbol,
-    mu_hat_grid,
-)
-from .ifs_core import AffineSystem
+from .fourier import TruncationPolicy, _phase_gradient, eval_symbol, mu_hat_grid
+from .ifs_core import AffineSystem, simplex_system
 from .linalg_exact import Matrix, fvec, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros
 
@@ -50,14 +50,6 @@ class OrthogonalityCertificate:
         return self.status == "certified"
 
 
-def _dual_inverse(sys: AffineSystem) -> Matrix:
-    cached = sys.__dict__.get("_dual_inv")
-    if cached is None:
-        cached = sys.r_inverse.transpose()
-        object.__setattr__(sys, "_dual_inv", cached)
-    return cached
-
-
 def orthogonal_pair(
     sys: AffineSystem, lam, lam_prime, n_max: int = 48
 ) -> OrthogonalityCertificate:
@@ -74,8 +66,8 @@ def orthogonal_pair(
     delta = vec_sub(lam, lam_prime)
     if all(c == 0 for c in delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
-    sinv = _dual_inverse(sys)
-    big_c, c = _contraction(sys)
+    sinv = sys.s_inverse
+    big_c, c = sys.contraction
     theta = _phase_gradient(sys)
     dnorm = math.hypot(*[float(v) for v in delta])
     y = delta
@@ -110,27 +102,36 @@ class PairMatrixReport:
         return self.certified == self.n_pairs
 
 
+def pair_statuses(sys: AffineSystem, freqs, pairs, n_max: int = 48):
+    """Yield (i, j, status) for each index pair (i, j) of ``freqs``.
+
+    A certificate depends only on lam - lam', and m(-y) is the conjugate of
+    m(y), so statuses are memoised on +-(freqs[i] - freqs[j])."""
+    freqs = [fvec(f) for f in freqs]
+    memo = {}
+    for i, j in pairs:
+        delta = vec_sub(freqs[i], freqs[j])
+        status = memo.get(delta)
+        if status is None:
+            status = orthogonal_pair(sys, freqs[i], freqs[j], n_max).status
+            memo[delta] = memo[tuple(-x for x in delta)] = status
+        yield i, j, status
+
+
 def certify_all_pairs(
     sys: AffineSystem, frequencies, n_max: int = 48, keep_bad: int = 16
 ) -> PairMatrixReport:
-    """Pairwise orthogonality over a whole frequency list, memoised on the
-    difference vector (certificates depend only on lam - lam')."""
+    """Pairwise orthogonality over a whole frequency list."""
     freqs = [fvec(f) for f in frequencies]
-    memo = {}
-    counts = {"certified": 0, "not-orthogonal": 0, "undetermined": 0}
-    bad = []
-    for i in range(len(freqs)):
-        for j in range(i + 1, len(freqs)):
-            delta = vec_sub(freqs[i], freqs[j])
-            status = memo.get(delta)
-            if status is None:
-                status = orthogonal_pair(sys, freqs[i], freqs[j], n_max).status
-                memo[delta] = status
-                memo[tuple(-x for x in delta)] = status
-            counts[status] += 1
-            if status != "certified" and len(bad) < keep_bad:
-                bad.append((freqs[i], freqs[j]))
     n = len(freqs)
+    counts = Counter()
+    bad = []
+    for i, j, status in pair_statuses(
+        sys, freqs, combinations(range(n), 2), n_max
+    ):
+        counts[status] += 1
+        if status != "certified" and len(bad) < keep_bad:
+            bad.append((freqs[i], freqs[j]))
     return PairMatrixReport(
         n_frequencies=n,
         n_pairs=n * (n - 1) // 2,
@@ -212,7 +213,7 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi,
     min_dist = 0.999 * min(
         math.sqrt(float(_dist_sq_to_lattice(z))) for z in zeros.points
     )
-    big_c, c = _contraction(sys)
+    big_c, c = sys.contraction
     corner_norm = max(
         math.hypot(*[float(x) for x in corner])
         for corner in product(*zip(lo, hi))
@@ -293,22 +294,16 @@ def max_orthogonal_family(
             "pairwise certification over %d grid points (cap %d)"
             % (len(grid), pairwise_cap)
         )
-    memo = {}
     neighbors = [set() for _ in grid]
     any_undetermined = False
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            delta = vec_sub(grid[i], grid[j])
-            status = memo.get(delta)
-            if status is None:
-                status = orthogonal_pair(sys, grid[i], grid[j], n_max).status
-                memo[delta] = status
-                memo[tuple(-x for x in delta)] = status
-            if status == "certified":
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-            elif status == "undetermined":
-                any_undetermined = True
+    for i, j, status in pair_statuses(
+        sys, grid, combinations(range(len(grid)), 2), n_max
+    ):
+        if status == "certified":
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+        elif status == "undetermined":
+            any_undetermined = True
     clique = _max_clique(len(grid), neighbors)
     return FamilyReport(
         family=tuple(grid[i] for i in clique),
@@ -424,8 +419,6 @@ def block_root_family(p: int, d: int, blocks, count: int = 6) -> BlockRootReport
     p^j collapses blocks to integers, which pins the vanishing index of
     the pair (p^m z0, p^n z0) at exactly min(m, n).
     """
-    from .catalog import simplex_system  # cheap; avoids a constructor copy
-
     blocks = tuple((int(q), int(dk)) for q, dk in blocks)
     if sum(q * dk for q, dk in blocks) != d + 1:
         raise ValueError("block sizes must decompose d + 1")
@@ -463,3 +456,53 @@ def block_root_family(p: int, d: int, blocks, count: int = 6) -> BlockRootReport
         family=family,
         certificates=tuple(certs),
     )
+
+
+# ---------------------------------------------------------------------------
+# the staged construction
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The spectrum construction for a system (R, B) and frequencies L, in
+    the order it is built: the dual system (R^T, L), the symbol zeros, the
+    dual's cycles (each marked extreme or not), the extreme ones, and the
+    candidate spectrum grown from them level by level.
+
+    Every stage is computed on first use and kept. ``dataclasses.replace``
+    gives a fresh analysis with nothing computed.
+    """
+
+    sys: AffineSystem
+    freqs: tuple | None
+    max_period: int = 12
+    via: str = "box"
+    _spectra: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    @cached_property
+    def dual(self) -> AffineSystem:
+        if self.freqs is None:
+            raise AifsError("entry has no frequency set")
+        return self.sys.dual(self.freqs)
+
+    @cached_property
+    def zeros(self) -> ZeroSet:
+        return find_zeros(self.sys)
+
+    @cached_property
+    def cycles(self) -> list:
+        found = search_cycles(self.sys, self.dual, self.max_period, self.via)
+        return classify_extreme(self.sys, found)
+
+    @cached_property
+    def extreme(self) -> list:
+        return [c for c in self.cycles if c.extreme]
+
+    def spectrum(self, level: int):
+        if level not in self._spectra:
+            self._spectra[level] = spectrum_from_cycles(
+                self.dual, self.extreme, level
+            )
+        return self._spectra[level]

@@ -78,6 +78,15 @@ def test_check_hadamard_requires_frequencies(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_cycles_requires_frequencies(capsys, tmp_path):
+    path = tmp_path / "nofreq.json"
+    path.write_text(json.dumps({"matrix": [["4"]], "digits": [["0"], ["2"]]}))
+    rc, body, err = run(capsys, "cycles", str(path))
+    assert rc == 2
+    assert body is None
+    assert err.startswith("error:")
+
+
 def test_missing_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "zeros", "/no/such/file.json")
     assert rc == 2

@@ -14,7 +14,7 @@ from aifs.ifs_core import (
     bounding_box,
     self_similarity_check,
 )
-from aifs.linalg_exact import Matrix, frac
+from aifs.linalg_exact import Matrix, contraction_data, frac
 
 
 def sys1d(scale, digits, weights=()):
@@ -67,6 +67,30 @@ def test_uniform_weights_default():
 def test_tau_contracts():
     # tau_b(x) = R^{-1}(x + b)
     assert CANTOR4.tau(1, (Fraction(1),)) == (Fraction(3, 4),)
+
+
+def test_dual_of_dual_is_the_system():
+    sys = AffineSystem(
+        R=Matrix([[frac(2), frac(1)], [frac(0), frac(3)]]),
+        digits=((0, 0), (1, 0), (0, 1)),
+        name="shear",
+    )
+    dual = sys.dual([(0, 0), (1, 1), (2, 0)])
+    assert dual.R == sys.R.transpose()
+    assert dual.digits == ((0, 0), (1, 1), (2, 0))
+    assert dual.name == "shear-dual"
+    back = dual.dual(sys.digits)
+    assert back.R == sys.R
+    assert back.digits == sys.digits
+
+
+def test_cached_inverses_are_lazy_and_exact():
+    sys = sys1d(4, [0, 2])
+    assert "r_inverse" not in sys.__dict__
+    assert sys.r_inverse is sys.r_inverse
+    assert sys.r_inverse == sys.R.inverse()
+    assert sys.s_inverse == sys.R.transpose().inverse()
+    assert sys.contraction == contraction_data(sys.r_inverse.to_float())
 
 
 def test_attractor_within_bounding_box():

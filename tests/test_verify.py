@@ -1,20 +1,27 @@
 """Orthogonality certificates, maximal families, Parseval sums."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aifs.ifs_core import AffineSystem
+from aifs import cycles_spectrum, verify
+from aifs.errors import AifsError
+from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac
 from aifs.torus_dynamics import ZeroSet, find_zeros
 from aifs.verify import (
+    Analysis,
     block_root_family,
     certify_all_pairs,
     completeness_q,
     halton_points,
     max_orthogonal_family,
     orthogonal_pair,
+    pair_statuses,
     rational_grid_1d,
 )
 
@@ -160,6 +167,100 @@ def test_completeness_q_grows_with_level():
 def test_completeness_q_explicit_points():
     rep = completeness_q(CANTOR4, [(0,), (1,)], points=[[0.0], [0.3]])
     assert rep.sample_points == ((0.0,), (0.3,))
+
+
+# ---------------------------------------------------------------- pair memo
+
+
+@st.composite
+def frequency_lists(draw):
+    """A system with 2 to 6 distinct frequencies over denominators 1, 2, 3,
+    and index pairs that include every drawn pair reversed."""
+    sys = draw(st.sampled_from([CANTOR4, simplex_system(3, 2)]))
+    coord = st.builds(
+        Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3])
+    )
+    freqs = draw(
+        st.lists(
+            st.tuples(*[coord] * sys.dim), min_size=2, max_size=6, unique=True
+        )
+    )
+    index = st.integers(0, len(freqs) - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda p: p[0] != p[1]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return sys, freqs, pairs + [(j, i) for i, j in pairs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(frequency_lists())
+def test_pair_statuses_match_fresh_certificates(case):
+    sys, freqs, pairs = case
+    got = list(pair_statuses(sys, freqs, pairs))
+    assert [(i, j) for i, j, _ in got] == pairs
+    for i, j, status in got:
+        assert status == orthogonal_pair(sys, freqs[i], freqs[j]).status
+
+
+# ---------------------------------------------------------------- analysis
+
+CANTOR4_L = ((Fraction(0),), (Fraction(1),))
+
+
+def test_analysis_runs_each_stage_once(monkeypatch):
+    calls = {"box": 0, "zeros": 0, "spectrum": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        cycles_spectrum, "find_cycles_in_box",
+        counted("box", cycles_spectrum.find_cycles_in_box),
+    )
+    monkeypatch.setattr(verify, "find_zeros", counted("zeros", find_zeros))
+    monkeypatch.setattr(
+        verify, "spectrum_from_cycles",
+        counted("spectrum", verify.spectrum_from_cycles),
+    )
+    an = Analysis(CANTOR4, CANTOR4_L)
+    level3 = an.spectrum(3)
+    assert an.spectrum(3) is level3
+    assert [v[0] for v in level3.elements] == [0, 1, 4, 5, 16, 17, 20, 21]
+    an.spectrum(2)
+    assert an.dual is an.dual
+    assert an.cycles is an.cycles
+    assert an.extreme is an.extreme
+    assert [c.points for c in an.extreme] == [((Fraction(0),),)]
+    assert an.zeros is an.zeros
+    assert calls == {"box": 1, "zeros": 1, "spectrum": 2}
+
+
+def test_analysis_replace_starts_with_empty_memo():
+    an = Analysis(CANTOR4, CANTOR4_L)
+    box = an.spectrum(3)
+    words = replace(an, via="words")
+    assert words._spectra == {}
+    assert "cycles" not in words.__dict__
+    assert words.spectrum(3) is not box
+    assert words.spectrum(3).elements == box.elements
+    assert an._spectra == {3: box}
+
+
+def test_analysis_without_frequencies():
+    an = Analysis(CANTOR4, None)
+    assert an.zeros.points == ((Fraction(1, 4),), (Fraction(3, 4),))
+    with pytest.raises(AifsError):
+        an.dual
+    with pytest.raises(AifsError):
+        an.spectrum(1)
 
 
 # ---------------------------------------------------------------- block roots
