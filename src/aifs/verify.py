@@ -375,12 +375,14 @@ def completeness_q(
         points = halton_points(samples, sys.dim)
     else:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-    qs = []
+    qs, errs = [], []
     for x in points:
         vals, err = mu_hat_grid(sys, x[None, :] + lam, policy)
         qs.append(float(np.sum(np.abs(vals) ** 2)))
-    # |v+e|^2 <= |v|^2 + 2|v|e + e^2 and sum |v| <= sqrt(n * Q)
-    worst = max(qs)
+        errs.append(err)
+    # |v+e|^2 <= |v|^2 + 2|v|e + e^2 and sum |v| <= sqrt(n * Q), with the
+    # largest per-sample error e (it grows with |x + lam|)
+    worst, err = max(qs), max(errs)
     err_total = 2 * err * math.sqrt(len(lam) * max(worst, 1.0)) + len(lam) * err**2
     return QReport(
         q_values=tuple(qs),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from aifs import cycles_spectrum, verify
 from aifs.errors import AifsError
+from aifs.fourier import mu_hat_grid
 from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac
 from aifs.torus_dynamics import ZeroSet, find_zeros
@@ -162,6 +163,18 @@ def test_completeness_q_grows_with_level():
         CANTOR4, [(k,) for k in (0, 1, 4, 5, 16, 17, 20, 21)], samples=6
     )
     assert lo.q_min < hi.q_min
+
+
+def test_completeness_q_error_bound_covers_every_sample():
+    # the per-sample truncation error grows with |x + lam|; the reported
+    # bound must cover the worst sample, not the last one
+    freqs = Analysis(CANTOR4, ((Fraction(0),), (Fraction(1),))).spectrum(2)
+    lam = np.array([[float(c) for c in f] for f in freqs.elements])
+    rep = completeness_q(CANTOR4, freqs.elements, samples=16)
+    for x in rep.sample_points:
+        _, err = mu_hat_grid(CANTOR4, np.asarray(x)[None, :] + lam)
+        need = 2 * err * np.sqrt(len(lam) * max(rep.q_max, 1.0))
+        assert rep.error_bound >= need + len(lam) * err**2
 
 
 def test_completeness_q_explicit_points():
