@@ -103,11 +103,10 @@ class PairMatrixReport:
 
 
 def pair_statuses(sys: AffineSystem, freqs, pairs, n_max: int = 48):
-    """Yield (i, j, status) for each index pair (i, j) of ``freqs``.
+    """Yield (i, j, status) for each index pair of the exact vectors ``freqs``.
 
     A certificate depends only on lam - lam', and m(-y) is the conjugate of
     m(y), so statuses are memoised on +-(freqs[i] - freqs[j])."""
-    freqs = [fvec(f) for f in freqs]
     memo = {}
     for i, j in pairs:
         delta = vec_sub(freqs[i], freqs[j])
