@@ -198,16 +198,10 @@ def conjecture_probe(
     triple = check_hadamard(sys_geom.R, sys_geom.digits, l_digits)
     if not triple.certified:
         raise ValueError("probe requires a certified compatible pair")
-    # the swap (R^T, L) has (R, B) as its own dual
+    swap = sys_geom.dual(triple.l_digits)  # its own dual is (R, B) again
     sides = [
-        ("R,B,L", Analysis(sys_geom, triple.l_digits, max_period, "words")),
-        (
-            "R^T,L,B",
-            Analysis(
-                sys_geom.dual(triple.l_digits), triple.b_digits,
-                max_period, "words",
-            ),
-        ),
+        ("R,B,L", Analysis(sys_geom, triple.l_digits, max_period, via="words")),
+        ("R^T,L,B", Analysis(swap, triple.b_digits, max_period, via="words")),
     ]
     orientations = []
     rng = random.Random(seed)
