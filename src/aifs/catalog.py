@@ -234,7 +234,7 @@ def _chk_pairs(an: Analysis, spec: dict):
 def _chk_q_range(an: Analysis, spec: dict):
     ss = an.spectrum(spec["level"])
     rep = completeness_q(an.sys, ss.elements, samples=spec.get("samples", 8))
-    ok = rep.q_min >= spec["lo"] and rep.q_max <= 1.0 + rep.error_bound + 1e-8
+    ok = rep.q_min >= spec["lo"] and rep.within_bessel
     return ok, {
         "q_min": rep.q_min,
         "q_max": rep.q_max,

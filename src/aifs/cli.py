@@ -255,7 +255,7 @@ def _cmd_verify_onb(args):
         verdict, rc = "not-orthogonal", 1
     elif pairs.undetermined:
         verdict, rc = "undetermined", 3
-    elif qrep.q_max > 1.0 + qrep.error_bound + 1e-8:
+    elif not qrep.within_bessel:
         verdict, rc = "parseval-exceeded", 1
     else:
         verdict, rc = "orthogonal-certified", 0

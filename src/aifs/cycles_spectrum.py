@@ -97,15 +97,15 @@ class LatticeBasis:
         # i.e. basis^T x in Z^d
         return LatticeBasis(self.basis.transpose().inverse())
 
-    @property
-    def dim(self) -> int:
-        return self.basis.n
-
     def det(self) -> Fraction:
         return abs(self.basis.det())
 
 
-def build_digit_lattice(sys: AffineSystem, max_rounds: int = 64) -> LatticeBasis:
+#: lattice chain rounds; a strict round raises the rank or at least halves the index
+LATTICE_ROUNDS = 64
+
+
+def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
     """Smallest lattice containing the digits and stable under R.
 
     Iterates Lambda_{k+1} = lattice(digits united with R * Lambda_k); the
@@ -122,7 +122,7 @@ def build_digit_lattice(sys: AffineSystem, max_rounds: int = 64) -> LatticeBasis
         raise RankDeficient("all digits are zero", rank=0)
     r_int = [[int(e) for e in row] for row in sys.R.rows]
     basis = integer_span_basis(gens)
-    for _ in range(max_rounds):
+    for _ in range(LATTICE_ROUNDS):
         imgs = [
             [sum(r_int[i][k] * v[k] for k in range(len(v))) for i in range(len(v))]
             for v in basis
@@ -142,7 +142,11 @@ def build_digit_lattice(sys: AffineSystem, max_rounds: int = 64) -> LatticeBasis
     return LatticeBasis(cols)
 
 
-def enumerate_box_points(lattice: LatticeBasis, lo, hi, cap: int = 1_000_000) -> list:
+#: lattice coordinate vectors scanned by one box enumeration
+BOX_CAP = 1_000_000
+
+
+def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
     """All lattice points in the closed box [lo, hi], exactly.
 
     Coordinates k of a point x = G k are bounded by evaluating G^{-1} on the
@@ -166,7 +170,7 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi, cap: int = 1_000_000) ->
         vals = [c[i] for c in corners]
         kranges.append(range(_floor(min(vals)), _ceil(max(vals)) + 1))
         total *= len(kranges[-1])
-        if total > cap:
+        if total > BOX_CAP:
             raise BudgetExceeded("box enumeration would scan %d points" % total)
     slack = Fraction(1, 10**9)
     out = []
@@ -225,11 +229,12 @@ def _canonical(points: list, digits: list) -> CycleRecord:
     )
 
 
+#: DFS steps one box cycle search may take
+DFS_BUDGET = 2_000_000
+
+
 def find_cycles_in_box(
-    sys_dual: AffineSystem,
-    candidates,
-    max_period: int = 64,
-    budget: int = 2_000_000,
+    sys_dual: AffineSystem, candidates, max_period: int = 64
 ) -> list:
     """All simple cycles of x -> S x - l with every point in ``candidates``.
 
@@ -267,8 +272,8 @@ def find_cycles_in_box(
         while stack:
             x, path, digs = stack.pop()
             steps += 1
-            if steps > budget:
-                raise BudgetExceeded("cycle search exceeded %d steps" % budget)
+            if steps > DFS_BUDGET:
+                raise BudgetExceeded("cycle search exceeded %d steps" % DFS_BUDGET)
             if len(path) >= max_period:
                 continue
             for i, y in succ[x]:
@@ -427,21 +432,18 @@ class SpectrumSet:
 
     level: int
     elements: tuple  # sorted exact vectors
-    per_cycle: tuple  # (CycleRecord, frozenset of elements) pairs
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
-    def floats(self) -> list:
-        return [tuple(float(c) for c in v) for v in self.elements]
+
+#: elements one level of one cycle's spectrum may reach
+SPECTRUM_CAP = 2_000_000
 
 
-def spectrum_from_cycles(
-    sys_dual: AffineSystem, cycles, level: int, cap: int = 2_000_000
-) -> SpectrumSet:
+def spectrum_from_cycles(sys_dual: AffineSystem, cycles, level: int) -> SpectrumSet:
     s = sys_dual.R
-    per_cycle = []
     union = set()
     for cyc in cycles:
         if cyc.extreme is False:
@@ -453,13 +455,10 @@ def spectrum_from_cycles(
                 sx = s.mat_vec(x)
                 for l in sys_dual.digits:
                     nxt.add(vec_add(sx, l))
-                if len(nxt) > cap:
-                    raise BudgetExceeded("spectrum grew past %d elements" % cap)
+                if len(nxt) > SPECTRUM_CAP:
+                    raise BudgetExceeded(
+                        "spectrum grew past %d elements" % SPECTRUM_CAP
+                    )
             layer = nxt
-        per_cycle.append((cyc, frozenset(layer)))
         union |= layer
-    return SpectrumSet(
-        level=level,
-        elements=tuple(sorted(union)),
-        per_cycle=tuple(per_cycle),
-    )
+    return SpectrumSet(level=level, elements=tuple(sorted(union)))

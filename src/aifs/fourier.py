@@ -41,26 +41,20 @@ def _rational_phases(sys: AffineSystem, x) -> list:
 
 
 def eval_symbol(sys: AffineSystem, x) -> SymbolValue:
-    """Evaluate m(x). Rational x gets an exact zero/non-zero certificate."""
+    """Evaluate m(x) at a rational x with an exact zero/non-zero certificate;
+    float points raise TypeError (``eval_symbol_float`` evaluates those)."""
+    phases = _rational_phases(sys, x)
+    val = sum(
+        complex(w) * cmath.exp(2j * math.pi * float(a))
+        for w, a in zip(sys.weights, phases)
+    )
+    if abs(val) > ZERO_PREFILTER:
+        return SymbolValue(val, False, True)
     try:
-        xr = fvec(x)
-    except (TypeError, ValueError):
-        xr = None
-    if xr is not None:
-        phases = _rational_phases(sys, xr)
-        val = sum(
-            complex(w) * cmath.exp(2j * math.pi * float(a))
-            for w, a in zip(sys.weights, phases)
-        )
-        if abs(val) > ZERO_PREFILTER:
-            return SymbolValue(val, False, True)
-        try:
-            zero = vanishing_sum(sys.weights, phases)
-        except ExactnessUnavailable:
-            return SymbolValue(val, False, False)
-        return SymbolValue(0j if zero else val, zero, True)
-    val = eval_symbol_float(sys, np.asarray([float(c) for c in x]))
-    return SymbolValue(val, False, abs(val) > ZERO_PREFILTER)
+        zero = vanishing_sum(sys.weights, phases)
+    except ExactnessUnavailable:
+        return SymbolValue(val, False, False)
+    return SymbolValue(0j if zero else val, zero, True)
 
 
 def eval_symbol_float(sys: AffineSystem, y: np.ndarray) -> complex:
@@ -100,12 +94,17 @@ class MuHatValue:
     terms_used: int
 
 
-def _phase_gradient(sys: AffineSystem) -> float:
-    """theta = 2 pi sum_b w_b |b|, the Lipschitz bound |m(y) - 1| <= theta|y|."""
-    return 2.0 * math.pi * sum(
-        float(w) * math.hypot(*[float(c) for c in b])
+def truncation_tail(sys: AffineSystem, xnorm: float):
+    """n -> t_n = theta C |x| c^{n+1} / (1 - c) >= sum_{k>n} |m(S^{-k} x) - 1|
+    for |x| = xnorm, from ||S^{-k}|| <= C c^k and the Lipschitz bound
+    |m(y) - 1| <= theta |y|, theta = 2 pi sum_b w_b |b|."""
+    big_c, c = sys.contraction
+    theta = 2.0 * math.pi * sum(
+        float(w) * math.hypot(*[float(v) for v in b])
         for w, b in zip(sys.weights, sys.digits)
     )
+    scale = theta * big_c * xnorm
+    return lambda n: scale * c ** (n + 1) / (1.0 - c)
 
 
 def eval_mu_hat(
@@ -115,30 +114,20 @@ def eval_mu_hat(
 
     Stops once the unevaluated tail provably multiplies the result by
     1 + O(tail_bound); an exactly-zero factor short-circuits to an exact
-    zero. Rational x keeps the iterates (R^T)^{-n} x exact, so factor zeros
-    are certified, not guessed.
+    zero. The point must be rational (floats raise TypeError): the iterates
+    (R^T)^{-n} x stay exact, so factor zeros are certified, not guessed.
     """
-    exact = True
-    try:
-        y = fvec(x)
-    except (TypeError, ValueError):
-        exact = False
-        y = tuple(float(c) for c in x)
+    y = fvec(x)
     sinv = sys.s_inverse
-    sinv_f = sinv.to_float()
-    big_c, c = sys.contraction
-    theta = _phase_gradient(sys)
-    xnorm = math.hypot(*[float(v) for v in y]) or 1.0
+    tail_at = truncation_tail(sys, math.hypot(*[float(v) for v in y]) or 1.0)
     prod = complex(1.0)
     for n in range(1, policy.max_terms + 1):
-        y = sinv.mat_vec(y) if exact else tuple(sinv_f @ np.asarray(y))
-        sv = eval_symbol(sys, y) if exact else SymbolValue(
-            eval_symbol_float(sys, np.asarray(y)), False, False
-        )
+        y = sinv.mat_vec(y)
+        sv = eval_symbol(sys, y)
         if sv.is_zero:
             return MuHatValue(0j, 0.0, True, n)
         prod *= sv.value
-        t = theta * big_c * xnorm * c ** (n + 1) / (1.0 - c)
+        t = tail_at(n)
         tail = math.expm1(t) if t < 700.0 else math.inf
         # the rounding floor 5e-14 n is reported but does not gate the
         # budget: the policy bounds the truncation tail, which is the only
@@ -152,43 +141,36 @@ def eval_mu_hat(
     )
 
 
-def invariance_residual(
-    sys: AffineSystem, x, policy: TruncationPolicy = TruncationPolicy()
-) -> float:
+def invariance_residual(sys: AffineSystem, x) -> float:
     """|mu^(x) - m(S^{-1}x) mu^(S^{-1}x)| with S = R^T; zero in exact arithmetic."""
     sinv = sys.s_inverse
     y = sinv.mat_vec(fvec(x))
-    lhs = eval_mu_hat(sys, x, policy)
-    rhs = eval_mu_hat(sys, y, policy)
+    lhs = eval_mu_hat(sys, x)
+    rhs = eval_mu_hat(sys, y)
     m = eval_symbol(sys, y)
     return abs(lhs.value - m.value * rhs.value)
 
 
-def mu_hat_grid(
-    sys: AffineSystem,
-    xs: np.ndarray,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> tuple:
+def mu_hat_grid(sys: AffineSystem, xs: np.ndarray) -> tuple:
     """Vectorised float evaluation of mu^ on many points.
 
     Returns (values, error_bound) where the single error bound covers every
     entry (it is computed from the largest |x| in the batch). Used by the
     Parseval diagnostics, where exact zero certificates are irrelevant.
     """
+    policy = TruncationPolicy()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     sinv_t = sys.s_inverse.to_float().T
     bmat = np.array([[float(c) for c in d] for d in sys.digits])
     wvec = np.array([float(w) for w in sys.weights])
-    big_c, c = sys.contraction
-    theta = _phase_gradient(sys)
-    xnorm = max(float(np.linalg.norm(xs, axis=1).max()), 1.0)
+    tail_at = truncation_tail(sys, max(float(np.linalg.norm(xs, axis=1).max()), 1.0))
     vals = np.ones(len(xs), dtype=complex)
     y = xs
     err = math.inf
     for n in range(1, policy.max_terms + 1):
         y = y @ sinv_t
         vals *= np.exp(2j * np.pi * (y @ bmat.T)) @ wvec
-        t = theta * big_c * xnorm * c ** (n + 1) / (1.0 - c)
+        t = tail_at(n)
         tail = math.expm1(t) if t < 700.0 else math.inf
         err = tail + 5e-14 * (n + 1)  # rounding floor reported, not gated on
         if tail <= policy.tail_bound:
@@ -202,15 +184,17 @@ def mu_hat_grid(
 def normalization_residual(sys_b: AffineSystem, sys_l: AffineSystem, x) -> float:
     """|sum_l W_B(sigma_l(x)) - 1| where sigma_l are the contractions of the
     dual system (R^T, L). Identically zero exactly when the digit matrix is
-    unitary (the transfer operator fixes the constant 1)."""
+    unitary (the transfer operator fixes the constant 1). Float x is a float
+    diagnostic evaluated through ``eval_symbol_float``."""
     try:
-        pts = [sys_l.tau(i, fvec(x)) for i in range(sys_l.n_digits)]
-    except (TypeError, ValueError):
+        xr = fvec(x)
+    except TypeError:
         rinv = sys_l.r_inverse.to_float()
         xf = np.asarray([float(c) for c in x])
-        pts = [
-            tuple(rinv @ (xf + np.array([float(c) for c in l])))
+        total = sum(
+            abs(eval_symbol_float(sys_b, rinv @ (xf + np.array(l, dtype=float)))) ** 2
             for l in sys_l.digits
-        ]
-    total = sum(eval_wb(sys_b, p) for p in pts)
+        )
+    else:
+        total = sum(eval_wb(sys_b, sys_l.tau(i, xr)) for i in range(sys_l.n_digits))
     return abs(total - 1.0)

@@ -100,15 +100,6 @@ class AffineSystem:
             name=(self.name + "-dual") if self.name else "dual",
         )
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "matrix": [[str(e) for e in row] for row in self.R.rows],
-            "digits": [[str(c) for c in b] for b in self.digits],
-            "weights": [str(w) for w in self.weights],
-        }
-
 
 def simplex_digits(d: int) -> tuple:
     """The origin followed by the d unit vectors."""
@@ -168,19 +159,22 @@ class AttractorCloud:
         return np.asarray(self.points, dtype=float)
 
 
+#: largest deterministic cloud built; every point is an exact rational vector
+CLOUD_CAP = 200_000
+
+
 def attractor(
     sys: AffineSystem,
     depth: int = 6,
     mode: str = "deterministic",
     count: int = 4096,
     seed: int = 0,
-    max_points: int = 200_000,
 ) -> AttractorCloud:
     if mode == "deterministic":
-        if sys.n_digits**depth > max_points:
+        if sys.n_digits**depth > CLOUD_CAP:
             raise BudgetExceeded(
                 "deterministic cloud would have %d points (cap %d)"
-                % (sys.n_digits**depth, max_points)
+                % (sys.n_digits**depth, CLOUD_CAP)
             )
         # fixed point of tau_0 solves (R - I) x = b_0
         ident = Matrix.identity(sys.dim)

@@ -50,11 +50,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
@@ -203,7 +198,7 @@ def _totient(q: int) -> int:
     return result
 
 
-def check_expansive(m: Matrix, margin: float = EIG_MARGIN) -> bool:
+def check_expansive(m: Matrix) -> bool:
     """Decide whether every eigenvalue of m has modulus > 1.
 
     Exact criteria run first: a zero determinant, an eigenvalue at exactly
@@ -233,13 +228,13 @@ def check_expansive(m: Matrix, margin: float = EIG_MARGIN) -> bool:
             if poly_divides(cyclotomic(q), ipoly):
                 return False
     moduli = np.abs(np.linalg.eigvals(m.to_float()))
-    if moduli.min() >= 1.0 + margin:
+    if moduli.min() >= 1.0 + EIG_MARGIN:
         return True
-    if (moduli <= 1.0 - margin).any():
+    if (moduli <= 1.0 - EIG_MARGIN).any():
         return False
     raise BorderlineExpansive(
         "eigenvalue moduli %s are within %g of the unit circle and no exact "
-        "criterion applies" % (np.sort(moduli).tolist(), margin)
+        "criterion applies" % (np.sort(moduli).tolist(), EIG_MARGIN)
     )
 
 
@@ -248,7 +243,11 @@ def ensure_expansive(m: Matrix) -> None:
         raise NotExpansive("matrix has an eigenvalue of modulus <= 1")
 
 
-def contraction_data(a: np.ndarray, max_power: int = 32):
+#: powers scanned for one of norm below 1 (a non-normal inverse may need several)
+CONTRACTION_POWERS = 32
+
+
+def contraction_data(a: np.ndarray):
     """Return (C, c) with ||a^n||_2 <= C * c^n for all n >= 0 and c < 1.
 
     Scans powers a^k, takes c = ||a^k||^(1/k) for the k minimising it among
@@ -260,7 +259,7 @@ def contraction_data(a: np.ndarray, max_power: int = 32):
     norms = [1.0]
     p = np.eye(a.shape[0])
     best = None  # (c, k)
-    for k in range(1, max_power + 1):
+    for k in range(1, CONTRACTION_POWERS + 1):
         p = p @ a
         nk = float(np.linalg.norm(p, 2)) * 1.01
         norms.append(nk)
@@ -270,7 +269,8 @@ def contraction_data(a: np.ndarray, max_power: int = 32):
                 best = (c, k)
     if best is None:
         raise NotExpansive(
-            "no power up to %d of the inverse is a contraction" % max_power
+            "no power up to %d of the inverse is a contraction"
+            % CONTRACTION_POWERS
         )
     c, k = best
     big = max(norms[j] / c**j for j in range(k))

@@ -78,19 +78,6 @@ def frequencies_from_dict(doc: dict):
     return None if freqs is None else tuple(parse_vec(l) for l in freqs)
 
 
-def system_to_dict(sys: AffineSystem, frequencies=None) -> dict:
-    doc = {
-        "name": sys.name,
-        "matrix": [[frac_str(e) for e in row] for row in sys.R.rows],
-        "digits": [[frac_str(c) for c in b] for b in sys.digits],
-    }
-    if not sys.uniform:
-        doc["weights"] = [frac_str(w) for w in sys.weights]
-    if frequencies is not None:
-        doc["frequencies"] = [[frac_str(c) for c in l] for l in frequencies]
-    return doc
-
-
 def input_hash(doc) -> str:
     blob = json.dumps(to_jsonable(doc), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -93,10 +93,6 @@ class ZeroSet:
     tag: str = ""
     numeric_points: tuple = ()
 
-    @property
-    def empty(self) -> bool:
-        return not (self.points or self.families or self.numeric_points)
-
 
 def _zeros_dim1_poly(sys: AffineSystem) -> ZeroSet:
     """All torus zeros for integer one-dimensional digit sets.
@@ -133,9 +129,14 @@ def _zeros_dim1_poly(sys: AffineSystem) -> ZeroSet:
     )
 
 
-def _zeros_grid(sys: AffineSystem, n_grid: int) -> ZeroSet:
+#: grid points per axis of the numeric zero sweep (capped at 300,000 in all)
+ZERO_GRID = 64
+
+
+def _zeros_grid(sys: AffineSystem) -> ZeroSet:
     """Numeric sweep + Gauss-Newton polish; never claims completeness."""
     d = sys.dim
+    n_grid = ZERO_GRID
     if n_grid**d > 300_000:
         n_grid = max(4, int(300_000 ** (1.0 / d)))
     axes = [np.arange(n_grid) / n_grid] * d
@@ -180,7 +181,7 @@ def _zeros_grid(sys: AffineSystem, n_grid: int) -> ZeroSet:
     )
 
 
-def find_zeros(sys: AffineSystem, n_grid: int = 64) -> ZeroSet:
+def find_zeros(sys: AffineSystem) -> ZeroSet:
     digit_set = set(sys.digits)
     if sys.uniform and digit_set == set(simplex_digits(sys.dim)):
         if sys.dim == 1:
@@ -210,7 +211,7 @@ def find_zeros(sys: AffineSystem, n_grid: int = 64) -> ZeroSet:
         return _zeros_dim1_poly(sys)
     if sys.dim > 3:
         return ZeroSet(points=(), complete=False, tag="unavailable")
-    return _zeros_grid(sys, n_grid)
+    return _zeros_grid(sys)
 
 
 def has_zero_weighted(sys: AffineSystem) -> bool:
@@ -270,7 +271,11 @@ def orbit(s: Matrix, x0, max_iter: int = 100_000) -> OrbitResult:
     raise BudgetExceeded("orbit did not close within %d steps" % max_iter)
 
 
-def invariant_superset(s: Matrix, points, max_size: int = 100_000) -> frozenset:
+#: largest invariant closure built (denominator q allows q^d torus points)
+CLOSURE_CAP = 100_000
+
+
+def invariant_superset(s: Matrix, points) -> frozenset:
     """Smallest forward-invariant subset of the torus containing ``points``."""
     closure = set()
     frontier = [torus(fvec(p)) for p in points]
@@ -279,8 +284,8 @@ def invariant_superset(s: Matrix, points, max_size: int = 100_000) -> frozenset:
         if x in closure:
             continue
         closure.add(x)
-        if len(closure) > max_size:
-            raise BudgetExceeded("invariant closure exceeded %d points" % max_size)
+        if len(closure) > CLOSURE_CAP:
+            raise BudgetExceeded("invariant closure exceeded %d points" % CLOSURE_CAP)
         frontier.append(torus(s.mat_vec(x)))
     return frozenset(closure)
 
@@ -298,14 +303,14 @@ class FiniteBoundReport:
     contains_zero: bool
 
 
-def finite_bound(s: Matrix, zero_points, max_size: int = 100_000) -> FiniteBoundReport:
+def finite_bound(s: Matrix, zero_points) -> FiniteBoundReport:
     """Cardinality bound from a finite invariant superset of the zeros.
 
     If the closure avoids 0 mod Z^d, no orthogonal family of exponentials
     can exceed size + 1: differences of frequencies in such a family are
     trapped in the closure, and a family of size + 2 would force a repeat.
     """
-    closure = invariant_superset(s, zero_points, max_size=max_size)
+    closure = invariant_superset(s, zero_points)
     zero = tuple(Fraction(0) for _ in range(s.n))
     contains = zero in closure
     return FiniteBoundReport(
@@ -385,7 +390,11 @@ class MinUnitSum:
     argmin: tuple  # lexicographically smallest minimiser k in {0..p^n-1}^d
 
 
-def min_unit_sum(p: int, d: int, n: int, budget: int = 2_000_000) -> MinUnitSum:
+#: unit sums evaluated in one minimum scan, C(p^n + d - 1, d) of them
+MIN_SUM_BUDGET = 2_000_000
+
+
+def min_unit_sum(p: int, d: int, n: int) -> MinUnitSum:
     """min over k in {0..p^n-1}^d of |1 + sum_l e^{2 pi i k_l / p^n}|.
 
     The sum is symmetric in the k_l, so only non-decreasing tuples are
@@ -394,10 +403,10 @@ def min_unit_sum(p: int, d: int, n: int, budget: int = 2_000_000) -> MinUnitSum:
     A float minimum below 1e-10 is certified (or refuted) exactly.
     """
     q = p**n
-    if math.comb(q + d - 1, d) > budget:
+    if math.comb(q + d - 1, d) > MIN_SUM_BUDGET:
         raise BudgetExceeded(
             "minimum scan needs %d evaluations (cap %d)"
-            % (math.comb(q + d - 1, d), budget)
+            % (math.comb(q + d - 1, d), MIN_SUM_BUDGET)
         )
     table = [complex(math.cos(2 * math.pi * k / q), math.sin(2 * math.pi * k / q))
              for k in range(q)]

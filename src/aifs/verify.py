@@ -29,7 +29,7 @@ import numpy as np
 
 from .cycles_spectrum import classify_extreme, search_cycles, spectrum_from_cycles
 from .errors import AifsError, BudgetExceeded
-from .fourier import TruncationPolicy, _phase_gradient, eval_symbol, mu_hat_grid
+from .fourier import eval_symbol, mu_hat_grid, truncation_tail
 from .ifs_core import AffineSystem, simplex_system
 from .linalg_exact import Matrix, fvec, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros
@@ -50,9 +50,11 @@ class OrthogonalityCertificate:
         return self.status == "certified"
 
 
-def orthogonal_pair(
-    sys: AffineSystem, lam, lam_prime, n_max: int = 48
-) -> OrthogonalityCertificate:
+#: factors m(S^{-n}(lam - lam')) walked before a pair is left undetermined
+PAIR_DEPTH = 48
+
+
+def orthogonal_pair(sys: AffineSystem, lam, lam_prime) -> OrthogonalityCertificate:
     """Decide orthogonality of e_lam and e_lam' for the invariant measure.
 
     Walks the factor chain m(S^{-n}(lam - lam')): an exact factor zero
@@ -60,19 +62,17 @@ def orthogonal_pair(
     certified non-zero and the remaining tail is provably closer to 1 than
     its own modulus allows for a zero, the product cannot vanish and the
     pair is certifiedly NOT orthogonal. Anything else is undetermined
-    (larger n_max or an exactness cap was hit).
+    (PAIR_DEPTH or an exactness cap was hit).
     """
     lam, lam_prime = fvec(lam), fvec(lam_prime)
     delta = vec_sub(lam, lam_prime)
     if all(c == 0 for c in delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
     sinv = sys.s_inverse
-    big_c, c = sys.contraction
-    theta = _phase_gradient(sys)
-    dnorm = math.hypot(*[float(v) for v in delta])
+    tail_at = truncation_tail(sys, math.hypot(*[float(v) for v in delta]))
     y = delta
     all_factors_certified = True
-    for n in range(1, n_max + 1):
+    for n in range(1, PAIR_DEPTH + 1):
         y = sinv.mat_vec(y)
         sv = eval_symbol(sys, y)
         if sv.is_zero:
@@ -81,7 +81,7 @@ def orthogonal_pair(
             )
         if not sv.certified:
             all_factors_certified = False
-        tail = theta * big_c * dnorm * c ** (n + 1) / (1.0 - c)
+        tail = tail_at(n)
         # expm1 overflows for huge tails, which certainly fail the test
         if all_factors_certified and tail < 0.7 and math.expm1(tail) < 0.999:
             return OrthogonalityCertificate(lam, lam_prime, "not-orthogonal")
@@ -102,7 +102,7 @@ class PairMatrixReport:
         return self.certified == self.n_pairs
 
 
-def pair_statuses(sys: AffineSystem, freqs, pairs, n_max: int = 48):
+def pair_statuses(sys: AffineSystem, freqs, pairs):
     """Yield (i, j, status) for each index pair of the exact vectors ``freqs``.
 
     A certificate depends only on lam - lam', and m(-y) is the conjugate of
@@ -112,24 +112,24 @@ def pair_statuses(sys: AffineSystem, freqs, pairs, n_max: int = 48):
         delta = vec_sub(freqs[i], freqs[j])
         status = memo.get(delta)
         if status is None:
-            status = orthogonal_pair(sys, freqs[i], freqs[j], n_max).status
+            status = orthogonal_pair(sys, freqs[i], freqs[j]).status
             memo[delta] = memo[tuple(-x for x in delta)] = status
         yield i, j, status
 
 
-def certify_all_pairs(
-    sys: AffineSystem, frequencies, n_max: int = 48, keep_bad: int = 16
-) -> PairMatrixReport:
+#: offending pairs a PairMatrixReport lists as examples
+BAD_PAIRS_KEPT = 16
+
+
+def certify_all_pairs(sys: AffineSystem, frequencies) -> PairMatrixReport:
     """Pairwise orthogonality over a whole frequency list."""
     freqs = [fvec(f) for f in frequencies]
     n = len(freqs)
     counts = Counter()
     bad = []
-    for i, j, status in pair_statuses(
-        sys, freqs, combinations(range(n), 2), n_max
-    ):
+    for i, j, status in pair_statuses(sys, freqs, combinations(range(n), 2)):
         counts[status] += 1
-        if status != "certified" and len(bad) < keep_bad:
+        if status != "certified" and len(bad) < BAD_PAIRS_KEPT:
             bad.append((freqs[i], freqs[j]))
     return PairMatrixReport(
         n_frequencies=n,
@@ -195,8 +195,11 @@ def _max_clique(nodes: int, neighbors) -> list:
     return sorted(best)
 
 
-def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi,
-                              n_cap: int = 64) -> set:
+#: levels n scanned; the scan ends once S^{-n} shrinks the box past the zeros
+DIFF_LEVELS = 64
+
+
+def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
     """Differences delta in the box [lo, hi] with S^{-n} delta on the zero
     set mod Z^d for some n >= 1: exactly the certified-orthogonal
     differences, provided the zero set is complete and the digits integral
@@ -219,7 +222,7 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi,
     )
     out = set()
     spow = Matrix.identity(d)
-    for n in range(1, n_cap + 1):
+    for n in range(1, DIFF_LEVELS + 1):
         spow = spow @ s
         # if every ||S^{-n} delta|| over the box is already below the zero
         # set's distance to the lattice, no further level contributes
@@ -243,16 +246,16 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi,
                 if all(lo[i] <= delta[i] <= hi[i] for i in range(d)):
                     out.add(delta)
     else:
-        raise BudgetExceeded("difference enumeration passed %d levels" % n_cap)
+        raise BudgetExceeded("difference enumeration passed %d levels" % DIFF_LEVELS)
     return out
 
 
+#: largest grid the pairwise route certifies, one certificate per pair
+PAIRWISE_CAP = 1500
+
+
 def max_orthogonal_family(
-    sys: AffineSystem,
-    grid,
-    n_max: int = 48,
-    zeros: ZeroSet | None = None,
-    pairwise_cap: int = 1500,
+    sys: AffineSystem, grid, zeros: ZeroSet | None = None
 ) -> FamilyReport:
     """A maximum orthogonal subfamily of {e_g : g in grid}.
 
@@ -288,16 +291,14 @@ def max_orthogonal_family(
             certified_maximum=True,
             method="difference-set",
         )
-    if len(grid) > pairwise_cap:
+    if len(grid) > PAIRWISE_CAP:
         raise BudgetExceeded(
             "pairwise certification over %d grid points (cap %d)"
-            % (len(grid), pairwise_cap)
+            % (len(grid), PAIRWISE_CAP)
         )
     neighbors = [set() for _ in grid]
     any_undetermined = False
-    for i, j, status in pair_statuses(
-        sys, grid, combinations(range(len(grid)), 2), n_max
-    ):
+    for i, j, status in pair_statuses(sys, grid, combinations(range(len(grid)), 2)):
         if status == "certified":
             neighbors[i].add(j)
             neighbors[j].add(i)
@@ -317,9 +318,11 @@ def max_orthogonal_family(
 # Parseval completeness
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
+#: leading Halton points dropped: the origin, 1/2, 1/4, ... (frequent symbol zeros)
+HALTON_SKIP = 20
 
 
-def halton_points(count: int, dim: int, skip: int = 20) -> np.ndarray:
+def halton_points(count: int, dim: int) -> np.ndarray:
     """Deterministic low-discrepancy sample in [0,1)^dim (van der Corput in
     coprime bases, one per coordinate)."""
     if dim > len(_PRIMES):
@@ -336,7 +339,7 @@ def halton_points(count: int, dim: int, skip: int = 20) -> np.ndarray:
     return np.array(
         [
             [vdc(i, _PRIMES[j]) for j in range(dim)]
-            for i in range(skip, skip + count)
+            for i in range(HALTON_SKIP, HALTON_SKIP + count)
         ]
     )
 
@@ -355,13 +358,15 @@ class QReport:
     def q_max(self) -> float:
         return max(self.q_values)
 
+    @property
+    def within_bessel(self) -> bool:
+        """Q <= 1 (Bessel's inequality for an orthonormal family), up to the
+        truncation error and 1e-8 of float rounding."""
+        return self.q_max <= 1.0 + self.error_bound + 1e-8
+
 
 def completeness_q(
-    sys: AffineSystem,
-    frequencies,
-    samples: int = 32,
-    policy: TruncationPolicy = TruncationPolicy(),
-    points=None,
+    sys: AffineSystem, frequencies, samples: int = 32, points=None
 ) -> QReport:
     """Parseval sums Q(x) = sum_lam |mu^(x + lam)|^2 at deterministic sample
     points. For an orthonormal family Q <= 1 everywhere (Bessel), with
@@ -376,7 +381,7 @@ def completeness_q(
         points = np.atleast_2d(np.asarray(points, dtype=float))
     qs, errs = [], []
     for x in points:
-        vals, err = mu_hat_grid(sys, x[None, :] + lam, policy)
+        vals, err = mu_hat_grid(sys, x[None, :] + lam)
         qs.append(float(np.sum(np.abs(vals) ** 2)))
         errs.append(err)
     # |v+e|^2 <= |v|^2 + 2|v|e + e^2 and sum |v| <= sqrt(n * Q), with the

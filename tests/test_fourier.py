@@ -146,3 +146,17 @@ def test_transfer_identity_property(x):
     # sum over frequency digits of W_B(sigma_l x) == 1 for the dual pair
     sys_l = sys1d(4, [0, 1])
     assert normalization_residual(CANTOR4, sys_l, (x,)) < 1e-11
+
+
+def test_normalization_float_point_matches_exact_point():
+    sys_l = sys1d(4, [0, 1])
+    float_res = normalization_residual(CANTOR4, sys_l, (0.3,))
+    exact_res = normalization_residual(CANTOR4, sys_l, (Fraction(3, 10),))
+    assert abs(float_res - exact_res) < 1e-12
+
+
+def test_exact_evaluators_refuse_float_points():
+    with pytest.raises(TypeError):
+        eval_symbol(CANTOR4, (0.25,))
+    with pytest.raises(TypeError):
+        eval_mu_hat(CANTOR4, (0.3,))

@@ -1,6 +1,8 @@
 """Unitary digit matrices, dual pairs, conjugation covariance, probes."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from aifs.hadamard import (
     conjugate_system,
     covariance_residual,
     make_dual_pair,
+    sample_pairs,
 )
 from aifs.ifs_core import AffineSystem
 from aifs.linalg_exact import Matrix, frac, fvec
@@ -147,3 +150,13 @@ def test_hadamard_invariant_under_frequency_translation(shift):
     l = ((frac(shift),), (frac(1 + shift),))
     t = check_hadamard(CANTOR4.R, CANTOR4.digits, l)
     assert t.certified and t.defect < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 90), st.integers(1, 400), st.integers(0, 2**32))
+def test_sample_pairs_matches_sampling_the_pair_list(n, k, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    pairs = list(combinations(range(n), 2))
+    want = ref.sample(pairs, k) if len(pairs) > k else pairs
+    assert sample_pairs(rng, n, k) == want
+    assert rng.getstate() == ref.getstate()
