@@ -269,8 +269,7 @@ def contraction_data(a: np.ndarray):
                 best = (c, k)
     if best is None:
         raise NotExpansive(
-            "no power up to %d of the inverse is a contraction"
-            % CONTRACTION_POWERS
+            "no power up to %d of the inverse is a contraction" % CONTRACTION_POWERS
         )
     c, k = best
     big = max(norms[j] / c**j for j in range(k))
