@@ -9,14 +9,11 @@ control. A small catalog of worked systems with frozen expected results
 ships under ``aifs.data``.
 """
 
-try:  # single source of truth: pyproject metadata
-    from importlib.metadata import PackageNotFoundError, version
+from importlib.metadata import PackageNotFoundError, version
 
-    try:
-        __version__ = version("aifs")
-    except PackageNotFoundError:  # running from a source tree
-        __version__ = "0.1.0"
-except Exception:  # pragma: no cover - very old interpreters
+try:  # single source of truth: pyproject metadata
+    __version__ = version("aifs")
+except PackageNotFoundError:  # running from a source tree
     __version__ = "0.1.0"
 
 from .errors import (

@@ -21,13 +21,8 @@ from .errors import AifsError
 from .fourier import invariance_residual, normalization_residual
 from .hadamard import check_hadamard, conjecture_probe
 from .ifs_core import simplex_digits, simplex_system  # noqa: F401 (re-exported)
-from .serialize import (
-    frequencies_from_dict,
-    parse_frac,
-    parse_vec,
-    system_from_dict,
-    to_jsonable,
-)
+from .linalg_exact import frac, fvec
+from .serialize import frequencies_from_dict, system_from_dict, to_jsonable
 from .torus_dynamics import (
     finite_bound,
     has_zero_weighted,
@@ -135,7 +130,7 @@ def _chk_hadamard(an: Analysis, spec: dict):
 @_register("zeros")
 def _chk_zeros(an: Analysis, spec: dict):
     zs = an.zeros
-    want = tuple(sorted(parse_vec(p) for p in spec.get("expect_points", [])))
+    want = tuple(sorted(fvec(p) for p in spec.get("expect_points", [])))
     ok = (
         zs.points == want
         and zs.complete == spec.get("expect_complete", True)
@@ -167,7 +162,7 @@ def _chk_finite_bound(an: Analysis, spec: dict):
 def _chk_distance_bound(an: Analysis, spec: dict):
     rep = orbit_distance_bound(an.sys.R.transpose(), an.zeros)
     ok = (
-        rep.delta_sq == parse_frac(spec["expect_delta_sq"])
+        rep.delta_sq == frac(spec["expect_delta_sq"])
         and rep.bound == spec["expect_bound"]
         and bool(rep.note) == spec.get("expect_note", False)
     )
@@ -180,7 +175,7 @@ def _chk_distance_bound(an: Analysis, spec: dict):
 
 @_register("orbit")
 def _chk_orbit(an: Analysis, spec: dict):
-    res = orbit(an.sys.R.transpose(), parse_vec(spec["x"]))
+    res = orbit(an.sys.R.transpose(), fvec(spec["x"]))
     ok = res.period == spec["expect_period"] and res.preperiod == spec.get(
         "expect_preperiod", 0
     )
@@ -194,7 +189,7 @@ def _chk_extreme_cycles(an: Analysis, spec: dict):
     cycles = an.extreme
     got = {frozenset(c.points) for c in cycles}
     want = {
-        frozenset(parse_vec(p) for p in cyc) for cyc in spec["expect"]
+        frozenset(fvec(p) for p in cyc) for cyc in spec["expect"]
     }
     ok = got == want
     if ok and spec.get("cross_check_words"):
@@ -206,7 +201,7 @@ def _chk_extreme_cycles(an: Analysis, spec: dict):
 @_register("spectrum")
 def _chk_spectrum(an: Analysis, spec: dict):
     ss = an.spectrum(spec["level"])
-    want = tuple(sorted(parse_vec(v) for v in spec["expect"]))
+    want = tuple(sorted(fvec(v) for v in spec["expect"]))
     return ss.elements == want, {"size": ss.size, "elements": ss.elements}
 
 
@@ -275,7 +270,7 @@ def _chk_min_sum(an: Analysis, spec: dict):
 
 @_register("invariance_residual")
 def _chk_invariance(an: Analysis, spec: dict):
-    val = invariance_residual(an.sys, parse_vec(spec["x"]))
+    val = invariance_residual(an.sys, fvec(spec["x"]))
     return val <= spec["max"], {"residual": val}
 
 
@@ -294,7 +289,7 @@ def _chk_block_root(an: Analysis, spec: dict):
     rep = block_root_family(
         p, an.sys.dim, spec["blocks"], count=spec.get("count", 4)
     )
-    ok = rep.z0 == parse_vec(spec["expect_z0"])
+    ok = rep.z0 == fvec(spec["expect_z0"])
     ok = ok and rep.z0_is_zero and rep.all_certified
     k = 0
     for i in range(len(rep.family)):

@@ -11,7 +11,8 @@ Exit codes:
     1   a negative verdict (failed certification, failing catalog entry,
         counterexample evidence)
     2   usage errors: bad arguments, unreadable input, unsuitable system
-    3   a budget or exactness limit prevented a definite answer
+    3   a budget or exactness limit prevented a definite answer, or the
+        zero set `bound` would start from is not known to be complete
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .errors import (
 )
 from .fourier import TruncationPolicy, eval_mu_hat
 from .hadamard import check_hadamard, conjecture_probe
-from .ifs_core import attractor
+from .ifs_core import CLOUD_DEPTH, attractor
+from .linalg_exact import fvec
 from .serialize import (
     frequencies_from_dict,
-    parse_vec,
     report_envelope,
     system_from_dict,
     to_jsonable,
@@ -87,7 +88,7 @@ def _load_analysis(args):
 
 
 def _parse_point(text: str):
-    return parse_vec([c.strip() for c in text.split(",")])
+    return fvec([c.strip() for c in text.split(",")])
 
 
 def _write_csv(path: str, rows, header) -> None:
@@ -192,7 +193,7 @@ def _cmd_bound(args):
     zs = find_zeros(sys)
     s = sys.R.transpose()
     payload = {"zero_tag": zs.tag, "complete": zs.complete}
-    if zs.tag == "unavailable":
+    if not zs.complete:
         return doc, {"bound": payload}, 3
     if zs.families:
         rep = orbit_distance_bound(s, zs)
@@ -320,10 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
-        sp = sub.add_parser(name, help=help)
+    def add(name, fn, help, parents=()):
+        sp = sub.add_parser(name, help=help, parents=parents)
         sp.set_defaults(func=fn)
         return sp
+
+    # the staged analysis behind cycles, spectrum and verify-onb
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument("--via", choices=("box", "words"), default="box")
+    analysis.add_argument("--max-period", type=int, default=12)
 
     sp = add("check-hadamard", _cmd_check_hadamard,
              "certify a digit/frequency pair as a unitary symbol matrix")
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("attractor", _cmd_attractor, "sample the attractor point cloud")
     sp.add_argument("system")
-    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--depth", type=int, default=CLOUD_DEPTH)
     sp.add_argument("--chaos", action="store_true",
                     help="seeded random orbit instead of full words")
     sp.add_argument("--count", type=int, default=4096,
@@ -366,27 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=3)
 
-    sp = add("cycles", _cmd_cycles, "extreme cycles of the dual system")
+    sp = add("cycles", _cmd_cycles, "extreme cycles of the dual system",
+             [analysis])
     sp.add_argument("system")
-    sp.add_argument("--via", choices=("box", "words"), default="box")
-    sp.add_argument("--max-period", type=int, default=12)
 
     sp = add("spectrum", _cmd_spectrum,
-             "candidate spectrum generated from extreme cycles")
+             "candidate spectrum generated from extreme cycles", [analysis])
     sp.add_argument("system")
     sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--via", choices=("box", "words"), default="box")
-    sp.add_argument("--max-period", type=int, default=12)
     sp.add_argument("--csv")
     sp.add_argument("--print-cap", type=int, default=4096,
                     help="omit elements from JSON above this size")
 
     sp = add("verify-onb", _cmd_verify_onb,
-             "certify pairwise orthogonality and Parseval completeness")
+             "certify pairwise orthogonality and Parseval completeness",
+             [analysis])
     sp.add_argument("system")
     sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--via", choices=("box", "words"), default="box")
-    sp.add_argument("--max-period", type=int, default=12)
     sp.add_argument("--samples", type=int, default=16)
 
     sp = add("probe-conjecture", _cmd_probe,
@@ -415,8 +417,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print("error: %s" % exc, file=_sys.stderr)
         return 2
-    envelope = report_envelope(args.command, doc, payload)
-    json.dump(to_jsonable(envelope), _sys.stdout, indent=1)
+    json.dump(report_envelope(args.command, doc, payload), _sys.stdout, indent=1)
     _sys.stdout.write("\n")
     return rc
 

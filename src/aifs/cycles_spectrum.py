@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import lcm
+from math import ceil, floor, lcm
 from operator import add, mul
 
 from .errors import BudgetExceeded, RankDeficient
@@ -88,8 +89,12 @@ class LatticeBasis:
 
     basis: Matrix
 
+    @cached_property
+    def inverse(self) -> Matrix:
+        return self.basis.inverse()
+
     def contains(self, v) -> bool:
-        coords = self.basis.inverse().mat_vec(fvec(v))
+        coords = self.inverse.mat_vec(fvec(v))
         return all(c.denominator == 1 for c in coords)
 
     def dual(self) -> "LatticeBasis":
@@ -116,17 +121,13 @@ def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
     if not sys.R.is_integer:
         raise ValueError("digit lattice is defined for integer matrices only")
     den = lcm(1, *[c.denominator for b in sys.digits for c in b])
-    gens = [[int(c * den) for c in b] for b in sys.digits]
-    gens = [g for g in gens if any(g)]
+    gens = [g for g in _scaled(sys.digits, den) if any(g)]
     if not gens:
         raise RankDeficient("all digits are zero", rank=0)
-    r_int = [[int(e) for e in row] for row in sys.R.rows]
+    r_int = _scaled(sys.R.rows, 1)
     basis = integer_span_basis(gens)
     for _ in range(LATTICE_ROUNDS):
-        imgs = [
-            [sum(r_int[i][k] * v[k] for k in range(len(v))) for i in range(len(v))]
-            for v in basis
-        ]
+        imgs = [_int_mat_vec(r_int, v) for v in basis]
         new_basis = integer_span_basis(basis + imgs + gens)
         if new_basis == basis:
             break
@@ -154,7 +155,7 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
     against the box with a hair of slack for float bounds.
     """
     g = lattice.basis
-    ginv = g.inverse()
+    ginv = lattice.inverse
     d = g.n
     lo_f = [_as_fraction(c) for c in lo]
     hi_f = [_as_fraction(c) for c in hi]
@@ -168,7 +169,7 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
     total = 1
     for i in range(d):
         vals = [c[i] for c in corners]
-        kranges.append(range(_floor(min(vals)), _ceil(max(vals)) + 1))
+        kranges.append(range(floor(min(vals)), ceil(max(vals)) + 1))
         total *= len(kranges[-1])
         if total > BOX_CAP:
             raise BudgetExceeded("box enumeration would scan %d points" % total)
@@ -185,14 +186,6 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
     return Fraction(float(c)).limit_denominator(10**12)
-
-
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
 
 
 # ---------------------------------------------------------------------------

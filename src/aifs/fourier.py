@@ -95,16 +95,36 @@ class MuHatValue:
 
 
 def truncation_tail(sys: AffineSystem, xnorm: float):
-    """n -> t_n = theta C |x| c^{n+1} / (1 - c) >= sum_{k>n} |m(S^{-k} x) - 1|
-    for |x| = xnorm, from ||S^{-k}|| <= C c^k and the Lipschitz bound
-    |m(y) - 1| <= theta |y|, theta = 2 pi sum_b w_b |b|."""
+    """n -> e^{t_n} - 1, the distance from 1 of the product of the factors
+    past n, for |x| = xnorm (infinite once t_n >= 700, where expm1
+    overflows). t_n = theta C |x| c^{n+1} / (1 - c) bounds
+    sum_{k>n} |m(S^{-k} x) - 1| by ||S^{-k}|| <= C c^k and the Lipschitz
+    bound |m(y) - 1| <= theta |y|, theta = 2 pi sum_b w_b |b|."""
     big_c, c = sys.contraction
     theta = 2.0 * math.pi * sum(
         float(w) * math.hypot(*[float(v) for v in b])
         for w, b in zip(sys.weights, sys.digits)
     )
     scale = theta * big_c * xnorm
-    return lambda n: scale * c ** (n + 1) / (1.0 - c)
+
+    def tail(n: int) -> float:
+        t = scale * c ** (n + 1) / (1.0 - c)
+        return math.expm1(t) if t < 700.0 else math.inf
+
+    return tail
+
+
+def factor_chain(sys: AffineSystem, x, terms: int):
+    """Yield (n, S^{-n} x, m(S^{-n} x), tail_n) for n = 1..terms at a
+    rational x: the factors of mu^(x) = prod_n m(S^{-n} x), each with its
+    exact zero certificate, and the ``truncation_tail`` bound tail_n on
+    how far the factors past n move the product from 1."""
+    y = fvec(x)
+    tail_at = truncation_tail(sys, math.hypot(*[float(v) for v in y]) or 1.0)
+    sinv = sys.s_inverse
+    for n in range(1, terms + 1):
+        y = sinv.mat_vec(y)
+        yield n, y, eval_symbol(sys, y), tail_at(n)
 
 
 def eval_mu_hat(
@@ -117,18 +137,11 @@ def eval_mu_hat(
     zero. The point must be rational (floats raise TypeError): the iterates
     (R^T)^{-n} x stay exact, so factor zeros are certified, not guessed.
     """
-    y = fvec(x)
-    sinv = sys.s_inverse
-    tail_at = truncation_tail(sys, math.hypot(*[float(v) for v in y]) or 1.0)
     prod = complex(1.0)
-    for n in range(1, policy.max_terms + 1):
-        y = sinv.mat_vec(y)
-        sv = eval_symbol(sys, y)
+    for n, _, sv, tail in factor_chain(sys, x, policy.max_terms):
         if sv.is_zero:
             return MuHatValue(0j, 0.0, True, n)
         prod *= sv.value
-        t = tail_at(n)
-        tail = math.expm1(t) if t < 700.0 else math.inf
         # the rounding floor 5e-14 n is reported but does not gate the
         # budget: the policy bounds the truncation tail, which is the only
         # part more terms can shrink
@@ -166,15 +179,12 @@ def mu_hat_grid(sys: AffineSystem, xs: np.ndarray) -> tuple:
     tail_at = truncation_tail(sys, max(float(np.linalg.norm(xs, axis=1).max()), 1.0))
     vals = np.ones(len(xs), dtype=complex)
     y = xs
-    err = math.inf
     for n in range(1, policy.max_terms + 1):
         y = y @ sinv_t
         vals *= np.exp(2j * np.pi * (y @ bmat.T)) @ wvec
-        t = tail_at(n)
-        tail = math.expm1(t) if t < 700.0 else math.inf
-        err = tail + 5e-14 * (n + 1)  # rounding floor reported, not gated on
-        if tail <= policy.tail_bound:
-            return vals, err
+        tail = tail_at(n)
+        if tail <= policy.tail_bound:  # the rounding floor is reported, not gated on
+            return vals, tail + 5e-14 * (n + 1)
     raise BudgetExceeded(
         "tail bound %g not reached within %d product terms"
         % (policy.tail_bound, policy.max_terms)

@@ -18,8 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded
-from .linalg_exact import Matrix, contraction_data, check_expansive, frac, fvec, vec_add
-from .errors import NotExpansive
+from .linalg_exact import (
+    Matrix,
+    contraction_data,
+    ensure_expansive,
+    frac,
+    fvec,
+    vec_add,
+)
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,7 @@ class AffineSystem:
         else:
             w = (Fraction(1, len(digits)),) * len(digits)
         object.__setattr__(self, "weights", w)
-        if not check_expansive(self.R):
-            raise NotExpansive("R must have all eigenvalue moduli > 1")
+        ensure_expansive(self.R)
         if not all(c.denominator == 1 for b in digits for c in b):
             warnings.warn(
                 "digit set is not integral; lattice and torus analyses "
@@ -152,20 +157,19 @@ class AttractorCloud:
     points: list = field(default_factory=list)
 
     def as_floats(self) -> np.ndarray:
-        if self.points and isinstance(self.points[0][0], Fraction):
-            return np.array(
-                [[float(c) for c in p] for p in self.points], dtype=float
-            )
         return np.asarray(self.points, dtype=float)
 
 
 #: largest deterministic cloud built; every point is an exact rational vector
 CLOUD_CAP = 200_000
+#: default word length of a deterministic cloud, N^6 points for N digits
+#: (15,625 for five digits, well under CLOUD_CAP)
+CLOUD_DEPTH = 6
 
 
 def attractor(
     sys: AffineSystem,
-    depth: int = 6,
+    depth: int = CLOUD_DEPTH,
     mode: str = "deterministic",
     count: int = 4096,
     seed: int = 0,

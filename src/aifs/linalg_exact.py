@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomy import cyclotomic, poly_divides
+from .cyclotomy import cyclotomic, poly_divides, totient
 from .errors import BorderlineExpansive, NotExpansive
 
 Vec = tuple  # tuple[Fraction, ...]; kept loose so ints pass through helpers
@@ -185,19 +185,6 @@ class Matrix:
         return "Matrix(%s)" % (list(list(map(str, row)) for row in self.rows),)
 
 
-def _totient(q: int) -> int:
-    result, n, p = q, q, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def check_expansive(m: Matrix) -> bool:
     """Decide whether every eigenvalue of m has modulus > 1.
 
@@ -220,7 +207,7 @@ def check_expansive(m: Matrix) -> bool:
         q = 1
         while True:
             q += 1
-            if _totient(q) > m.n:
+            if totient(q) > m.n:
                 # totients grow; once past 2n^2+2 nothing below n remains
                 if q > 2 * m.n * m.n + 2:
                     break
@@ -240,7 +227,7 @@ def check_expansive(m: Matrix) -> bool:
 
 def ensure_expansive(m: Matrix) -> None:
     if not check_expansive(m):
-        raise NotExpansive("matrix has an eigenvalue of modulus <= 1")
+        raise NotExpansive("R must have all eigenvalue moduli > 1")
 
 
 #: powers scanned for one of norm below 1 (a non-normal inverse may need several)

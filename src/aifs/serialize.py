@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ifs_core import AffineSystem
-from .linalg_exact import Matrix, frac
+from .linalg_exact import Matrix, frac, fvec
 
 
 def frac_str(f: Fraction) -> str:
@@ -25,14 +25,6 @@ def frac_str(f: Fraction) -> str:
         f.numerator,
         f.denominator,
     )
-
-
-def parse_frac(s) -> Fraction:
-    return frac(s)
-
-
-def parse_vec(xs) -> tuple:
-    return tuple(frac(x) for x in xs)
 
 
 def to_jsonable(x):
@@ -67,7 +59,7 @@ def system_from_dict(doc: dict) -> AffineSystem:
     matrix = Matrix([[frac(e) for e in row] for row in doc["matrix"]])
     return AffineSystem(
         R=matrix,
-        digits=tuple(parse_vec(b) for b in doc["digits"]),
+        digits=tuple(fvec(b) for b in doc["digits"]),
         weights=tuple(frac(w) for w in doc.get("weights", ())),
         name=doc.get("name", ""),
     )
@@ -75,7 +67,7 @@ def system_from_dict(doc: dict) -> AffineSystem:
 
 def frequencies_from_dict(doc: dict):
     freqs = doc.get("frequencies")
-    return None if freqs is None else tuple(parse_vec(l) for l in freqs)
+    return None if freqs is None else tuple(fvec(l) for l in freqs)
 
 
 def input_hash(doc) -> str:

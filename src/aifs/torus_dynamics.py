@@ -94,6 +94,13 @@ class ZeroSet:
     numeric_points: tuple = ()
 
 
+def _certified_zero(sys: AffineSystem, xf) -> Vec | None:
+    """The float zero candidate xf snapped to the torus point with
+    denominators up to 10^4 nearest it, if that point is an exact zero."""
+    xr = tuple(Fraction(float(c)).limit_denominator(10**4) % 1 for c in xf)
+    return xr if eval_symbol(sys, xr).is_zero else None
+
+
 def _zeros_dim1_poly(sys: AffineSystem) -> ZeroSet:
     """All torus zeros for integer one-dimensional digit sets.
 
@@ -115,9 +122,9 @@ def _zeros_dim1_poly(sys: AffineSystem) -> ZeroSet:
         if abs(abs(z) - 1.0) > 1e-7:
             continue
         xf = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
-        xr = Fraction(xf).limit_denominator(10**4) % 1
-        if eval_symbol(sys, (xr,)).is_zero:
-            pts.append((xr,))
+        xr = _certified_zero(sys, (xf,))
+        if xr is not None:
+            pts.append(xr)
         else:
             numeric.append((xf,))
             all_certified = False
@@ -166,8 +173,8 @@ def _zeros_grid(sys: AffineSystem) -> ZeroSet:
             x = (x + step) % 1.0
         else:
             continue
-        xr = tuple(Fraction(float(c)).limit_denominator(10**4) % 1 for c in x)
-        if eval_symbol(sys, xr).is_zero:
+        xr = _certified_zero(sys, x)
+        if xr is not None:
             pts.add(xr)
         else:
             rounded = tuple(round(float(c), 9) % 1.0 for c in x)

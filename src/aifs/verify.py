@@ -27,11 +27,17 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .cycles_spectrum import classify_extreme, search_cycles, spectrum_from_cycles
+from .cycles_spectrum import (
+    LatticeBasis,
+    classify_extreme,
+    enumerate_box_points,
+    search_cycles,
+    spectrum_from_cycles,
+)
 from .errors import AifsError, BudgetExceeded
-from .fourier import eval_symbol, mu_hat_grid, truncation_tail
+from .fourier import eval_symbol, factor_chain, mu_hat_grid
 from .ifs_core import AffineSystem, simplex_system
-from .linalg_exact import Matrix, fvec, vec_sub
+from .linalg_exact import Matrix, fvec, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros
 
 Vec = tuple
@@ -68,22 +74,15 @@ def orthogonal_pair(sys: AffineSystem, lam, lam_prime) -> OrthogonalityCertifica
     delta = vec_sub(lam, lam_prime)
     if all(c == 0 for c in delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
-    sinv = sys.s_inverse
-    tail_at = truncation_tail(sys, math.hypot(*[float(v) for v in delta]))
-    y = delta
     all_factors_certified = True
-    for n in range(1, PAIR_DEPTH + 1):
-        y = sinv.mat_vec(y)
-        sv = eval_symbol(sys, y)
+    for n, y, sv, tail in factor_chain(sys, delta, PAIR_DEPTH):
         if sv.is_zero:
             return OrthogonalityCertificate(
                 lam, lam_prime, "certified", vanishing_index=n, zero_point=y
             )
-        if not sv.certified:
-            all_factors_certified = False
-        tail = tail_at(n)
-        # expm1 overflows for huge tails, which certainly fail the test
-        if all_factors_certified and tail < 0.7 and math.expm1(tail) < 0.999:
+        all_factors_certified = all_factors_certified and sv.certified
+        # the product of the factors past n is within 0.999 of 1: not zero
+        if all_factors_certified and tail < 0.999:
             return OrthogonalityCertificate(lam, lam_prime, "not-orthogonal")
     return OrthogonalityCertificate(lam, lam_prime, "undetermined")
 
@@ -209,7 +208,6 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
     if not zeros.points:
         return set()
     s = sys.R.transpose()
-    d = sys.dim
     # 0.999: breathing room for the float sqrt (the norm bound itself is
     # already inflated upward)
     min_dist = 0.999 * min(
@@ -221,30 +219,19 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
         for corner in product(*zip(lo, hi))
     )
     out = set()
-    spow = Matrix.identity(d)
+    spow = Matrix.identity(sys.dim)
     for n in range(1, DIFF_LEVELS + 1):
         spow = spow @ s
         # if every ||S^{-n} delta|| over the box is already below the zero
         # set's distance to the lattice, no further level contributes
         if big_c * c**n * corner_norm < min_dist:
             break
-        sinv_n = spow.inverse()
-        kcorners = [
-            sinv_n.mat_vec(fvec(corner)) for corner in product(*zip(lo, hi))
-        ]
+        # S^n (z + Z^d) = S^n z + (the lattice spanned by the columns of S^n)
+        lattice = LatticeBasis(spow)
         for z in zeros.points:
-            ranges = []
-            for i in range(d):
-                vals = [kc[i] - z[i] for kc in kcorners]
-                ranges.append(
-                    range(math.floor(min(vals)), math.ceil(max(vals)) + 1)
-                )
-            for k in product(*ranges):
-                delta = spow.mat_vec(
-                    tuple(z[i] + k[i] for i in range(d))
-                )
-                if all(lo[i] <= delta[i] <= hi[i] for i in range(d)):
-                    out.add(delta)
+            sz = spow.mat_vec(z)
+            box = enumerate_box_points(lattice, vec_sub(lo, sz), vec_sub(hi, sz))
+            out.update(vec_add(sz, x) for x in box)
     else:
         raise BudgetExceeded("difference enumeration passed %d levels" % DIFF_LEVELS)
     return out
@@ -272,45 +259,40 @@ def max_orthogonal_family(
     d = sys.dim
     if zeros is None:
         zeros = find_zeros(sys)
+    neighbors = [set() for _ in grid]
+    certified = True
     if zeros.complete and not zeros.families:
+        method = "difference-set"
         lo = [min(g[i] for g in grid) - max(g[i] for g in grid) for i in range(d)]
         hi = [-x for x in lo]
         hset = _certified_difference_set(sys, zeros, lo, hi)
         index = {g: i for i, g in enumerate(grid)}
-        neighbors = [set() for _ in grid]
         for i, g in enumerate(grid):
             for h in hset:
                 other = index.get(tuple(g[k] + h[k] for k in range(d)))
                 if other is not None:
                     neighbors[i].add(other)
-        clique = _max_clique(len(grid), neighbors)
-        return FamilyReport(
-            family=tuple(grid[i] for i in clique),
-            size=len(clique),
-            grid_size=len(grid),
-            certified_maximum=True,
-            method="difference-set",
-        )
-    if len(grid) > PAIRWISE_CAP:
-        raise BudgetExceeded(
-            "pairwise certification over %d grid points (cap %d)"
-            % (len(grid), PAIRWISE_CAP)
-        )
-    neighbors = [set() for _ in grid]
-    any_undetermined = False
-    for i, j, status in pair_statuses(sys, grid, combinations(range(len(grid)), 2)):
-        if status == "certified":
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-        elif status == "undetermined":
-            any_undetermined = True
+    else:
+        method = "pairwise"
+        if len(grid) > PAIRWISE_CAP:
+            raise BudgetExceeded(
+                "pairwise certification over %d grid points (cap %d)"
+                % (len(grid), PAIRWISE_CAP)
+            )
+        pairs = combinations(range(len(grid)), 2)
+        for i, j, status in pair_statuses(sys, grid, pairs):
+            if status == "certified":
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+            elif status == "undetermined":
+                certified = False
     clique = _max_clique(len(grid), neighbors)
     return FamilyReport(
         family=tuple(grid[i] for i in clique),
         size=len(clique),
         grid_size=len(grid),
-        certified_maximum=not any_undetermined,
-        method="pairwise",
+        certified_maximum=certified,
+        method=method,
     )
 
 
@@ -443,7 +425,6 @@ def block_root_family(p: int, d: int, blocks, count: int = 6) -> BlockRootReport
                 first = False
             coords.extend(root_sys)
     z0 = tuple(coords)
-    assert len(z0) == d
     sys = simplex_system(p, d)
     z0_zero = eval_symbol(sys, z0).is_zero
     family = tuple(

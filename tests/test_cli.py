@@ -250,3 +250,29 @@ def test_catalog_run_single(capsys):
     assert c["ok"] is True
     assert c["failed"] == []
     assert c["entries"][0]["name"] == "cantor4"
+
+
+def test_attractor_default_depth_fits_the_cloud_cap(capsys, tmp_path):
+    # five digits: the default depth gives 5^6 = 15,625 points, under the cap
+    from aifs import catalog
+
+    path = tmp_path / "propdiv.json"
+    path.write_text(json.dumps(catalog.load_entry("propdiv-p6-d4")["system"]))
+    rc, body, _ = run(capsys, "attractor", str(path))
+    assert rc == 0
+    assert body["attractor"]["depth"] == 6
+    assert body["attractor"]["points"] == 5**6
+
+
+def test_bound_refuses_incomplete_zero_set(capsys, tmp_path):
+    # the zeros of 1 + e(x1) are the whole line x1 = 1/2, which the numeric
+    # sweep only samples, so no finite-orbit bound may be reported
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "matrix": [["3", "0"], ["0", "3"]],
+        "digits": [["0", "0"], ["1", "0"]],
+    }))
+    rc, body, _ = run(capsys, "bound", str(path))
+    assert rc == 3
+    assert body["bound"]["complete"] is False
+    assert "bound" not in body["bound"]

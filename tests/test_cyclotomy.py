@@ -11,6 +11,7 @@ from aifs.cyclotomy import (
     divisors,
     mobius,
     poly_divides,
+    totient,
     vanishing_sum,
 )
 from aifs.errors import ExactnessUnavailable
@@ -19,6 +20,15 @@ from aifs.errors import ExactnessUnavailable
 def test_divisors_and_mobius():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+
+def test_totient_counts_units():
+    from math import gcd
+
+    for n in range(1, 200):
+        assert totient(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    # the degree of the q-th cyclotomic polynomial is phi(q)
+    assert all(len(cyclotomic(q)) - 1 == totient(q) for q in range(1, 60))
 
 
 def test_cyclotomic_small():

@@ -305,3 +305,39 @@ def test_block_root_family_rejects_bad_blocks():
         block_root_family(6, 4, [(1, 5)])  # 5 does not divide 6
     with pytest.raises(ValueError):
         block_root_family(6, 4, [(0, 2), (1, 3)])  # empty block
+
+
+# ---------------------------------------------------------------- difference set
+
+
+def _grid_2d(step, bound):
+    ks = range(-bound * step, bound * step + 1)
+    return [(Fraction(a, step), Fraction(b, step)) for a in ks for b in ks]
+
+
+@pytest.mark.parametrize(
+    "system, grid, n_diffs",
+    [
+        (sys1d(3, [0, 1]), rational_grid_1d(6, -3, 3), 498),
+        (simplex_system(2, 2), _grid_2d(3, 2), 624),
+        (simplex_system(3, 2), _grid_2d(2, 3), 624),
+    ],
+)
+def test_difference_set_is_the_certified_differences(system, grid, n_diffs):
+    # the box scan of S^n (z + Z^d) must find exactly the grid differences
+    # whose factor chain certifies a zero
+    d = system.dim
+    lo = [min(g[i] for g in grid) - max(g[i] for g in grid) for i in range(d)]
+    hi = [-x for x in lo]
+    hset = verify._certified_difference_set(system, find_zeros(system), lo, hi)
+    diffs = {
+        tuple(a - b for a, b in zip(g, h)) for g in grid for h in grid
+    } - {(Fraction(0),) * d}
+    assert len(diffs) == n_diffs
+    statuses = {
+        delta: orthogonal_pair(system, delta, (0,) * d).status for delta in diffs
+    }
+    assert "undetermined" not in statuses.values()
+    assert {delta for delta in diffs if delta in hset} == {
+        delta for delta, status in statuses.items() if status == "certified"
+    }
