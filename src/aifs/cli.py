@@ -137,7 +137,7 @@ def _cmd_attractor(args):
     payload = {
         "points": len(pts),
         "mode": "chaos" if args.chaos else "deterministic",
-        "depth": args.depth,
+        "depth": cloud.depth,
         "min": pts.min(axis=0).tolist(),
         "max": pts.max(axis=0).tolist(),
         "csv": args.csv,

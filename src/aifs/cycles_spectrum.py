@@ -106,17 +106,14 @@ class LatticeBasis:
         return abs(self.basis.det())
 
 
-#: lattice chain rounds; a strict round raises the rank or at least halves the index
-LATTICE_ROUNDS = 64
-
-
 def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
     """Smallest lattice containing the digits and stable under R.
 
-    Iterates Lambda_{k+1} = lattice(digits united with R * Lambda_k); the
-    chain is increasing inside (1/q) Z^d, hence stabilises. Raises
-    RankDeficient when the result has rank < d (its dual is then a continuum
-    and candidate enumeration is meaningless).
+    By Cayley-Hamilton (an integer R has a monic integer characteristic
+    polynomial) it is spanned by R^k b, b a digit and 0 <= k < d, and one
+    Hermite-form reduction gives its basis. Raises RankDeficient when the
+    result has rank < d (its dual is then a continuum and candidate
+    enumeration is meaningless).
     """
     if not sys.R.is_integer:
         raise ValueError("digit lattice is defined for integer matrices only")
@@ -125,15 +122,12 @@ def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
     if not gens:
         raise RankDeficient("all digits are zero", rank=0)
     r_int = _scaled(sys.R.rows, 1)
-    basis = integer_span_basis(gens)
-    for _ in range(LATTICE_ROUNDS):
-        imgs = [_int_mat_vec(r_int, v) for v in basis]
-        new_basis = integer_span_basis(basis + imgs + gens)
-        if new_basis == basis:
-            break
-        basis = new_basis
-    else:
-        raise BudgetExceeded("digit lattice did not stabilise")
+    orbits = []
+    for g in gens:
+        for _ in range(sys.dim):
+            orbits.append(g)
+            g = _int_mat_vec(r_int, g)
+    basis = integer_span_basis(orbits)
     if len(basis) < sys.dim:
         raise RankDeficient(
             "digit lattice has rank %d < %d" % (len(basis), sys.dim),

@@ -15,7 +15,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 
 import numpy as np
 
@@ -68,16 +68,11 @@ def check_hadamard(r: Matrix, b_digits, l_digits) -> HadamardTriple:
     h = np.exp(2j * np.pi * phases) / math.sqrt(n)
     defect = float(np.abs(h.conj().T @ h - np.eye(n)).max())
     # exact certificate
-    certified = True
     try:
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = vec_sub(l_digits[i], l_digits[j])
-                if not vanishing_sum([1] * n, [vec_dot(x, diff) for x in rb]):
-                    certified = False
-                    break
-            if not certified:
-                break
+        certified = all(
+            vanishing_sum([1] * n, [vec_dot(x, diff) for x in rb])
+            for diff in starmap(vec_sub, combinations(l_digits, 2))
+        )
     except ExactnessUnavailable:
         certified = False
     return HadamardTriple(

@@ -153,7 +153,7 @@ class AttractorCloud:
 
     system: AffineSystem
     mode: str
-    depth: int
+    depth: int | None  # None for the chaos game, which has no depth
     points: list = field(default_factory=list)
 
     def as_floats(self) -> np.ndarray:
@@ -200,7 +200,7 @@ def attractor(
             x = rinv @ (x + rng.choices(digs, weights=wts)[0])
             if k >= 32:  # burn-in
                 pts.append(tuple(x))
-        return AttractorCloud(system=sys, mode=mode, depth=count, points=pts)
+        return AttractorCloud(system=sys, mode=mode, depth=None, points=pts)
     raise ValueError("mode must be 'deterministic' or 'chaos'")
 
 

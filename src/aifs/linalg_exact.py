@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (torus orbits, lattice duals, cycle detection) depends
-on arithmetic that never rounds: matrices are tuples of ``Fraction`` rows and
-are inverted by Gauss-Jordan elimination that stays in Q. Floating point
-enters only where a quantity is genuinely analytic -- eigenvalue moduli,
-operator norms -- and there every comparison carries an explicit safety
-margin. The common razor-edge cases (eigenvalue exactly +-1, eigenvalue a
-root of unity) are decided exactly before any float is consulted.
+on arithmetic that never rounds: matrices are tuples of ``Fraction`` rows, and
+one integer Faddeev-LeVerrier pass gives their charpoly, det and inverse.
+Floating point enters only where a quantity is genuinely analytic --
+eigenvalue moduli, operator norms -- and there every comparison carries an
+explicit safety margin. The common razor-edge cases (eigenvalue exactly +-1,
+eigenvalue a root of unity) are decided exactly before any float is consulted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -119,58 +121,46 @@ class Matrix:
             k >>= 1
         return acc
 
-    def inverse(self) -> "Matrix":
-        """Gauss-Jordan over Q; raises ValueError on singular input."""
+    def _leverrier(self):
+        """Faddeev-LeVerrier over the integer A = D M, D the lcm of the entry
+        denominators: returns (a, P, D) with a = (1, a_1, ..., a_n) the
+        coefficients of det(tI - A) and P = A^{n-1} + a_1 A^{n-2} + ... +
+        a_{n-1} I, so A P = -a_n I by Cayley-Hamilton (P = +-adj(A))."""
         n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [e / pv for e in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-        return Matrix([row[n:] for row in aug])
+        den = lcm(*(e.denominator for row in self.rows for e in row))
+        a = [[int(e * den) for e in row] for row in self.rows]
+        coeffs = [1]
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(1, n + 1):
+            ap = [[sum(map(mul, row, col)) for col in zip(*p)] for row in a]
+            # an integer matrix has an integer characteristic polynomial, so
+            # this division by k is exact
+            ck = -sum(ap[i][i] for i in range(n)) // k
+            coeffs.append(ck)
+            if k < n:
+                p = [[x + ck * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(ap)]
+        return coeffs, p, den
+
+    def inverse(self) -> "Matrix":
+        """-D P / a_n (see ``_leverrier``); raises ValueError if singular."""
+        coeffs, p, den = self._leverrier()
+        if coeffs[-1] == 0:
+            raise ValueError("matrix is singular")
+        return Matrix(
+            [[Fraction(-den * x, coeffs[-1]) for x in row] for row in p]
+        )
 
     def det(self) -> Fraction:
-        n = self.n
-        a = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    f = a[r][col] * inv
-                    a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-        return det
+        return (-1) ** self.n * self.charpoly()[-1]
 
     def charpoly(self) -> tuple:
         """Coefficients (1, c1, ..., cn) of det(tI - M) = t^n + c1 t^{n-1} + ... + cn.
 
-        Faddeev-LeVerrier recursion, exact over Q.
+        c_k = a_k / D^k from the integer LeVerrier pass over A = D M.
         """
-        n = self.n
-        coeffs = [Fraction(1)]
-        mk = Matrix.identity(n)
-        for k in range(1, n + 1):
-            mk = self @ mk
-            ck = -sum((mk.rows[i][i] for i in range(n)), Fraction(0)) / k
-            coeffs.append(ck)
-            if k < n:
-                mk = mk.add(Matrix.identity(n).scale(ck))
-        return tuple(coeffs)
+        coeffs, _, den = self._leverrier()
+        return tuple(Fraction(c, den**k) for k, c in enumerate(coeffs))
 
     def to_float(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self.rows], dtype=float)
@@ -196,23 +186,17 @@ def check_expansive(m: Matrix) -> bool:
     margin; moduli inside the margin raise BorderlineExpansive rather than
     guessing.
     """
-    if m.det() == 0:
-        return False
     cp = m.charpoly()
+    if cp[-1] == 0:  # zero determinant
+        return False
     # value at t = 1 is sum of coefficients; at t = -1, alternating sum
     if sum(cp) == 0 or sum(c * (-1) ** (m.n - i) for i, c in enumerate(cp)) == 0:
         return False
     if all(c.denominator == 1 for c in cp):
         ipoly = [int(c) for c in reversed(cp)]  # ascending order
-        q = 1
-        while True:
-            q += 1
-            if totient(q) > m.n:
-                # totients grow; once past 2n^2+2 nothing below n remains
-                if q > 2 * m.n * m.n + 2:
-                    break
-                continue
-            if poly_divides(cyclotomic(q), ipoly):
+        # phi(q) >= sqrt(q / 2), so no order past 2n^2 + 2 has totient <= n
+        for q in range(2, 2 * m.n * m.n + 3):
+            if totient(q) <= m.n and poly_divides(cyclotomic(q), ipoly):
                 return False
     moduli = np.abs(np.linalg.eigvals(m.to_float()))
     if moduli.min() >= 1.0 + EIG_MARGIN:

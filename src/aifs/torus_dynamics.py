@@ -257,14 +257,19 @@ class OrbitResult:
         return self.points[self.preperiod:]
 
 
+def _require_integer(s: Matrix) -> None:
+    # under a rational S the denominator can grow at every step, forever
+    if not s.is_integer:
+        raise ValueError("torus dynamics needs an integer matrix")
+
+
 def orbit(s: Matrix, x0, max_iter: int = 100_000) -> OrbitResult:
     """Forward orbit of x0 under x -> S x mod Z^d until it repeats.
 
     For rational x0 and integer S the denominator never grows, so the orbit
     must close; max_iter is only a tripwire.
     """
-    if not s.is_integer:
-        raise ValueError("torus dynamics needs an integer matrix")
+    _require_integer(s)
     x = torus(fvec(x0))
     seen = {x: 0}
     trail = [x]
@@ -284,6 +289,7 @@ CLOSURE_CAP = 100_000
 
 def invariant_superset(s: Matrix, points) -> frozenset:
     """Smallest forward-invariant subset of the torus containing ``points``."""
+    _require_integer(s)
     closure = set()
     frontier = [torus(fvec(p)) for p in points]
     while frontier:
@@ -298,6 +304,7 @@ def invariant_superset(s: Matrix, points) -> frozenset:
 
 
 def is_invariant(s: Matrix, points) -> bool:
+    _require_integer(s)
     pts = {torus(fvec(p)) for p in points}
     return all(torus(s.mat_vec(p)) in pts for p in pts)
 

@@ -415,25 +415,19 @@ def block_root_family(p: int, d: int, blocks, count: int = 6) -> BlockRootReport
             raise ValueError(
                 "each block needs q >= 1 and a divisor 2 <= d_k of p"
             )
-    coords = []
-    first = True
-    for q, dk in blocks:
-        for _ in range(q):
-            root_sys = [Fraction(j, dk) for j in range(dk)]
-            if first:
-                root_sys = root_sys[1:]  # the symbol's leading 1 stands in
-                first = False
-            coords.extend(root_sys)
-    z0 = tuple(coords)
+    # the symbol's leading 1 stands in for the first block's first 0
+    z0 = tuple(
+        Fraction(j, dk) for q, dk in blocks for _ in range(q) for j in range(dk)
+    )[1:]
     sys = simplex_system(p, d)
     z0_zero = eval_symbol(sys, z0).is_zero
     family = tuple(
         tuple(Fraction(p) ** n * c for c in z0) for n in range(1, count + 1)
     )
-    certs = []
-    for i in range(count):
-        for j in range(i + 1, count):
-            certs.append(orthogonal_pair(sys, family[j], family[i]))
+    certs = [
+        orthogonal_pair(sys, family[j], family[i])
+        for i, j in combinations(range(count), 2)
+    ]
     return BlockRootReport(
         p=p,
         d=d,

@@ -276,3 +276,27 @@ def test_bound_refuses_incomplete_zero_set(capsys, tmp_path):
     assert rc == 3
     assert body["bound"]["complete"] is False
     assert "bound" not in body["bound"]
+
+
+def test_bound_refuses_a_rational_matrix(capsys, tmp_path):
+    # the zero set of this simplex system is complete, but x -> S x mod Z^2
+    # with S = (5/2) I never closes up; the finite-orbit route must refuse
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps({
+        "matrix": [["5/2", "0"], ["0", "5/2"]],
+        "digits": [["0", "0"], ["1", "0"], ["0", "1"]],
+    }))
+    rc, body, err = run(capsys, "bound", str(path))
+    assert rc == 2
+    assert body is None
+    assert "torus dynamics needs an integer matrix" in err
+
+
+def test_attractor_chaos_reports_no_depth(capsys, cantor4_file):
+    rc, body, _ = run(
+        capsys, "attractor", cantor4_file, "--chaos", "--count", "64"
+    )
+    assert rc == 0
+    assert body["attractor"]["mode"] == "chaos"
+    assert body["attractor"]["points"] == 64
+    assert body["attractor"]["depth"] is None

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from aifs.catalog import load_entry, simplex_spectrum_digits, simplex_system
 from aifs.cycles_spectrum import (
+    LatticeBasis,
     _canonical,
     build_digit_lattice,
     classify_extreme,
@@ -363,3 +365,77 @@ def test_integer_span_basis_idempotent_and_contains_gens(gens):
     # inserting any generator back must not grow the span
     for g in gens:
         assert integer_span_basis(basis + [list(g)]) == basis
+
+
+def reference_digit_lattice(sys):
+    """The fixpoint chain Lambda_{k+1} = span(B, R Lambda_k), iterated until
+    the Hermite basis repeats: the slow reference the one-step span of
+    R^k b, k < d, must reproduce exactly."""
+    den = lcm(1, *[c.denominator for b in sys.digits for c in b])
+    gens = [[int(c * den) for c in b] for b in sys.digits]
+    gens = [g for g in gens if any(g)]
+    if not gens:
+        raise RankDeficient("all digits are zero", rank=0)
+    r_int = [[int(e) for e in row] for row in sys.R.rows]
+    basis = integer_span_basis(gens)
+    for _ in range(64):
+        imgs = [
+            [sum(a * x for a, x in zip(row, v)) for row in r_int] for v in basis
+        ]
+        new_basis = integer_span_basis(basis + imgs + gens)
+        if new_basis == basis:
+            break
+        basis = new_basis
+    else:
+        raise BudgetExceeded("digit lattice did not stabilise")
+    if len(basis) < sys.dim:
+        raise RankDeficient("rank %d" % len(basis), rank=len(basis))
+    return LatticeBasis(
+        Matrix(list(zip(*[[Fraction(x, den) for x in v] for v in basis])))
+    )
+
+
+@st.composite
+def integer_expansive_systems(draw):
+    """Integer R, expansive by Gershgorin, that keeps the span of the first
+    k coordinates invariant, with digits inside that span: k < d gives a
+    rank-deficient digit lattice. Digits are integer or rational."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, d))
+    rows = []
+    for i in range(d):
+        row = [
+            0 if i >= k > j else draw(st.integers(-3, 3)) for j in range(d)
+        ]
+        radius = sum(abs(x) for j, x in enumerate(row) if j != i)
+        row[i] = draw(st.sampled_from([1, -1])) * (
+            radius + draw(st.integers(2, 4))
+        )
+        rows.append(row)
+    digits = draw(
+        st.lists(
+            st.tuples(
+                *[_small_fracs if j < k else st.just(0) for j in range(d)]
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return AffineSystem(R=Matrix(rows), digits=tuple(digits))
+
+
+def _lattice_or_rank(build, sys):
+    try:
+        return build(sys)
+    except RankDeficient as exc:
+        return ("rank", exc.rank)
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@settings(max_examples=200, deadline=None)
+@given(integer_expansive_systems())
+def test_one_step_digit_lattice_matches_fixpoint_reference(sys):
+    assert _lattice_or_rank(build_digit_lattice, sys) == _lattice_or_rank(
+        reference_digit_lattice, sys
+    )

@@ -132,3 +132,92 @@ def test_transpose_preserves_det_and_charpoly(rows):
 )
 def test_vec_dot_symmetry(u, v):
     assert vec_dot(fvec(u), fvec(v)) == vec_dot(fvec(v), fvec(u))
+
+
+# ------------------------------------------- elimination references
+
+
+def reference_inverse(m):
+    """Gauss-Jordan over Q: a reference the LeVerrier inverse must match."""
+    n = m.n
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m.rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
+    return Matrix([row[n:] for row in aug])
+
+
+def reference_det(m):
+    """Gaussian elimination over Q: a reference for the LeVerrier det."""
+    n = m.n
+    a = [list(row) for row in m.rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+    return det
+
+
+def reference_charpoly(m):
+    """Faddeev-LeVerrier on Fraction matrices, dividing by k over Q."""
+    n = m.n
+    coeffs = [Fraction(1)]
+    mk = Matrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m @ mk
+        ck = -sum((mk.rows[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(ck)
+        if k < n:
+            mk = mk.add(Matrix.identity(n).scale(ck))
+    return tuple(coeffs)
+
+
+_entries = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 7])),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer or rational matrices up to 4x4; a drawn row copy or zero row
+    makes singular ones common."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = [draw(st.sampled_from([0, 1, -2])) * x for x in rows[j]]
+    return M(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_leverrier_matches_elimination_references(m):
+    assert m.charpoly() == reference_charpoly(m)
+    assert m.det() == reference_det(m)
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            reference_inverse(m)
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == reference_inverse(m)

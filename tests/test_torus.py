@@ -13,6 +13,7 @@ from aifs.torus_dynamics import (
     find_zeros,
     finite_bound,
     has_zero_weighted,
+    invariant_superset,
     is_invariant,
     min_sum_report,
     min_unit_sum,
@@ -223,3 +224,13 @@ def test_orbit_points_stay_on_torus_and_cycle_closes(x):
     assert len(cyc) == res.period
     for i, p in enumerate(cyc):
         assert torus(s.mat_vec(p)) == cyc[(i + 1) % res.period]
+
+
+def test_torus_maps_refuse_a_rational_matrix():
+    # under S = (5/2) I the denominator of x -> S x mod Z^d doubles at every
+    # step, so the closure would never finish
+    s = Matrix.identity(2).scale(Fraction(5, 2))
+    pts = [(Fraction(1, 3), Fraction(1, 3))]
+    for call in (invariant_superset, is_invariant, finite_bound):
+        with pytest.raises(ValueError, match="integer matrix"):
+            call(s, pts)
