@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
 from .cycles_spectrum import extreme_cycles
 from .errors import AifsError
@@ -291,11 +292,8 @@ def _chk_block_root(an: Analysis, spec: dict):
     )
     ok = rep.z0 == fvec(spec["expect_z0"])
     ok = ok and rep.z0_is_zero and rep.all_certified
-    k = 0
-    for i in range(len(rep.family)):
-        for j in range(i + 1, len(rep.family)):
-            ok = ok and rep.certificates[k].vanishing_index == i + 1
-            k += 1
+    pairs = zip(rep.certificates, combinations(range(len(rep.family)), 2))
+    ok = ok and all(cert.vanishing_index == i + 1 for cert, (i, _) in pairs)
     return ok, {
         "z0": rep.z0,
         "z0_is_zero": rep.z0_is_zero,

@@ -23,14 +23,7 @@ import json
 import sys as _sys
 
 from . import __version__
-from .errors import (
-    AifsError,
-    BorderlineExpansive,
-    BudgetExceeded,
-    ExactnessUnavailable,
-    NotExpansive,
-    RankDeficient,
-)
+from .errors import AifsError, BudgetExceeded, ExactnessUnavailable
 from .fourier import TruncationPolicy, eval_mu_hat
 from .hadamard import check_hadamard, conjecture_probe
 from .ifs_core import CLOUD_DEPTH, attractor
@@ -50,16 +43,7 @@ from .torus_dynamics import (
 )
 from .verify import Analysis, certify_all_pairs, completeness_q
 
-USAGE_ERRORS = (
-    AifsError,
-    NotExpansive,
-    BorderlineExpansive,
-    RankDeficient,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
+USAGE_ERRORS = (AifsError, ValueError, KeyError, OSError)
 LIMIT_ERRORS = (BudgetExceeded, ExactnessUnavailable)
 
 
@@ -89,6 +73,16 @@ def _load_analysis(args):
 
 def _parse_point(text: str):
     return fvec([c.strip() for c in text.split(",")])
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _write_csv(path: str, rows, header) -> None:
@@ -147,10 +141,11 @@ def _cmd_attractor(args):
 
 def _cmd_mu_hat(args):
     doc, sys, _ = _load_system(args.system)
+    x = _parse_point(args.x)
     policy = TruncationPolicy(max_terms=args.max_terms, tail_bound=args.tail)
-    val = eval_mu_hat(sys, _parse_point(args.x), policy)
+    val = eval_mu_hat(sys, x, policy)
     payload = {
-        "x": _parse_point(args.x),
+        "x": x,
         "value": val.value,
         "abs": abs(val.value),
         "error_radius": val.error_radius,
@@ -176,9 +171,10 @@ def _cmd_zeros(args):
 
 def _cmd_orbit(args):
     doc, sys, _ = _load_system(args.system)
-    res = orbit(sys.R.transpose(), _parse_point(args.x), max_iter=args.max_iter)
+    x = _parse_point(args.x)
+    res = orbit(sys.R.transpose(), x, max_iter=args.max_iter)
     payload = {
-        "x": _parse_point(args.x),
+        "x": x,
         "preperiod": res.preperiod,
         "period": res.period,
         "periodic": res.periodic,
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the staged analysis behind cycles, spectrum and verify-onb
     analysis = argparse.ArgumentParser(add_help=False)
     analysis.add_argument("--via", choices=("box", "words"), default="box")
-    analysis.add_argument("--max-period", type=int, default=12)
+    analysis.add_argument("--max-period", type=_int_at_least(1), default=12)
 
     sp = add("check-hadamard", _cmd_check_hadamard,
              "certify a digit/frequency pair as a unitary symbol matrix")
@@ -338,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("attractor", _cmd_attractor, "sample the attractor point cloud")
     sp.add_argument("system")
-    sp.add_argument("--depth", type=int, default=CLOUD_DEPTH)
+    sp.add_argument("--depth", type=_int_at_least(0), default=CLOUD_DEPTH)
     sp.add_argument("--chaos", action="store_true",
                     help="seeded random orbit instead of full words")
-    sp.add_argument("--count", type=int, default=4096,
+    sp.add_argument("--count", type=_int_at_least(1), default=4096,
                     help="points in chaos mode")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", help="write the cloud to this CSV file")
@@ -368,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("dn", _cmd_dn,
              "scaled minima of unit sums at scales p^n (obstruction scan)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n-max", type=int, default=3)
+    sp.add_argument("--p", type=_int_at_least(2), required=True)
+    sp.add_argument("--d", type=_int_at_least(1), required=True)
+    sp.add_argument("--n-max", type=_int_at_least(1), default=3)
 
     sp = add("cycles", _cmd_cycles, "extreme cycles of the dual system",
              [analysis])
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("spectrum", _cmd_spectrum,
              "candidate spectrum generated from extreme cycles", [analysis])
     sp.add_argument("system")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_int_at_least(0), required=True)
     sp.add_argument("--csv")
     sp.add_argument("--print-cap", type=int, default=4096,
                     help="omit elements from JSON above this size")
@@ -388,15 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
              "certify pairwise orthogonality and Parseval completeness",
              [analysis])
     sp.add_argument("system")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=16)
+    sp.add_argument("--level", type=_int_at_least(0), required=True)
+    sp.add_argument("--samples", type=_int_at_least(1), default=16)
 
     sp = add("probe-conjecture", _cmd_probe,
              "experimental two-sided spectral-pair probe")
     sp.add_argument("system")
-    sp.add_argument("--level", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=16)
-    sp.add_argument("--pair-budget", type=int, default=300)
+    sp.add_argument("--level", type=_int_at_least(0), default=None)
+    sp.add_argument("--samples", type=_int_at_least(1), default=16)
+    sp.add_argument("--pair-budget", type=_int_at_least(1), default=300)
 
     sp = add("catalog", _cmd_catalog, "run the bundled example catalog")
     sp.add_argument("action", choices=("list", "run"))

@@ -119,8 +119,6 @@ def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
         raise ValueError("digit lattice is defined for integer matrices only")
     den = lcm(1, *[c.denominator for b in sys.digits for c in b])
     gens = [g for g in _scaled(sys.digits, den) if any(g)]
-    if not gens:
-        raise RankDeficient("all digits are zero", rank=0)
     r_int = _scaled(sys.R.rows, 1)
     orbits = []
     for g in gens:
@@ -151,14 +149,9 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
     g = lattice.basis
     ginv = lattice.inverse
     d = g.n
-    lo_f = [_as_fraction(c) for c in lo]
-    hi_f = [_as_fraction(c) for c in hi]
-    corners = [
-        ginv.mat_vec(
-            tuple(hi_f[i] if (mask >> i) & 1 else lo_f[i] for i in range(d))
-        )
-        for mask in range(2**d)
-    ]
+    lo_f = [Fraction(c) for c in lo]
+    hi_f = [Fraction(c) for c in hi]
+    corners = [ginv.mat_vec(c) for c in product(*zip(lo_f, hi_f))]
     kranges = []
     total = 1
     for i in range(d):
@@ -174,12 +167,6 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
         if all(lo_f[i] - slack <= x[i] <= hi_f[i] + slack for i in range(d)):
             out.append(x)
     return out
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    return Fraction(float(c)).limit_denominator(10**12)
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,6 @@ def vanishing_sum(weights, phases, q_cap: int = Q_CAP) -> bool:
         a = Fraction(a) % 1
         terms.append((w, a))
         qs.append(a.denominator)
-    if not terms:
-        return True
     q = lcm(*qs)
     if q > q_cap:
         raise ExactnessUnavailable(
@@ -145,19 +143,12 @@ def vanishing_sum(weights, phases, q_cap: int = Q_CAP) -> bool:
         e = int(a * q) % q
         acc[e] = acc.get(e, 0) + int(w * wden)
     acc = {e: c for e, c in acc.items() if c}
-    if not acc:
-        return True
     # strip a common factor of the exponents: a sum over q-th roots supported
-    # on multiples of g is the same sum over (q/g)-th roots
-    g = q
-    for e in acc:
-        g = gcd(g, e)
-    if g > 1:
-        q //= g
-        acc = {e // g: c for e, c in acc.items()}
-    if q == 1:
-        return sum(acc.values()) == 0
+    # on multiples of g is the same sum over (q/g)-th roots (no terms left:
+    # g = q, and Phi_1 = t - 1 divides the constant 0 at q = 1)
+    g = gcd(q, *acc)
+    q //= g
     poly = [0] * q
     for e, c in acc.items():
-        poly[e] = c
+        poly[e // g] = c
     return poly_divides(cyclotomic(q), poly)

@@ -99,13 +99,9 @@ def truncation_tail(sys: AffineSystem, xnorm: float):
     past n, for |x| = xnorm (infinite once t_n >= 700, where expm1
     overflows). t_n = theta C |x| c^{n+1} / (1 - c) bounds
     sum_{k>n} |m(S^{-k} x) - 1| by ||S^{-k}|| <= C c^k and the Lipschitz
-    bound |m(y) - 1| <= theta |y|, theta = 2 pi sum_b w_b |b|."""
+    bound |m(y) - 1| <= theta |y|, theta = ``sys.symbol_lipschitz``."""
     big_c, c = sys.contraction
-    theta = 2.0 * math.pi * sum(
-        float(w) * math.hypot(*[float(v) for v in b])
-        for w, b in zip(sys.weights, sys.digits)
-    )
-    scale = theta * big_c * xnorm
+    scale = sys.symbol_lipschitz * big_c * xnorm
 
     def tail(n: int) -> float:
         t = scale * c ** (n + 1) / (1.0 - c)

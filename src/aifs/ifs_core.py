@@ -9,6 +9,7 @@ uniform weights are the default and the geometrically natural choice.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -95,6 +96,14 @@ class AffineSystem:
         singular values, so they bound S^{-n} as well."""
         return contraction_data(self.r_inverse.to_float())
 
+    @cached_property
+    def symbol_lipschitz(self) -> float:
+        """theta = 2 pi sum_b w_b |b|, which bounds |m(y) - 1| <= theta |y|."""
+        return 2.0 * math.pi * sum(
+            float(w) * math.hypot(*[float(v) for v in b])
+            for w, b in zip(self.weights, self.digits)
+        )
+
     def dual(self, frequencies) -> "AffineSystem":
         """The dual system (R^T, L) whose digits are the frequencies L.
 
@@ -131,8 +140,6 @@ def bounding_box(sys: AffineSystem) -> tuple:
     Every attractor point is sum_{k>=1} R^{-k} b_k, so its norm is at most
     C*c/(1-c) * max_b |b| with (C, c) the contraction data of R^{-1}.
     """
-    if all(all(c == 0 for c in b) for b in sys.digits):
-        return (0.0,) * sys.dim, (0.0,) * sys.dim
     big_c, c = sys.contraction
     bmax = max(
         float(np.linalg.norm([float(x) for x in b])) for b in sys.digits

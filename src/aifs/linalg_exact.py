@@ -33,8 +33,8 @@ def frac(x) -> Fraction:
         return x
     if isinstance(x, float):
         # floats are almost always a bug here (they smuggle rounding into
-        # exact code paths); accept only ones that are exactly integral
-        if x != int(x):
+        # exact code paths); accept only exactly integral ones (not inf, nan)
+        if not x.is_integer():
             raise TypeError("refusing to coerce non-integral float %r to Fraction" % x)
         return Fraction(int(x))
     return Fraction(x)
@@ -178,26 +178,24 @@ class Matrix:
 def check_expansive(m: Matrix) -> bool:
     """Decide whether every eigenvalue of m has modulus > 1.
 
-    Exact criteria run first: a zero determinant, an eigenvalue at exactly
-    +-1 (detected through the characteristic polynomial), or a root-of-unity
-    eigenvalue (a cyclotomic factor of the characteristic polynomial; only
-    orders with totient <= n can occur) each settle the answer without
-    floats. What remains is decided by numpy eigenvalues with a safety
-    margin; moduli inside the margin raise BorderlineExpansive rather than
-    guessing.
+    Exact criteria run first: a zero determinant, or a root-of-unity
+    eigenvalue (a cyclotomic factor Phi_q of the characteristic polynomial,
+    integer or rational; only orders with totient <= n can occur, and +-1
+    are the orders q = 1, 2 of the same scan). What remains is decided by
+    numpy eigenvalues with a safety margin; moduli inside the margin raise
+    BorderlineExpansive rather than guessing.
     """
     cp = m.charpoly()
     if cp[-1] == 0:  # zero determinant
         return False
-    # value at t = 1 is sum of coefficients; at t = -1, alternating sum
-    if sum(cp) == 0 or sum(c * (-1) ** (m.n - i) for i, c in enumerate(cp)) == 0:
-        return False
-    if all(c.denominator == 1 for c in cp):
-        ipoly = [int(c) for c in reversed(cp)]  # ascending order
-        # phi(q) >= sqrt(q / 2), so no order past 2n^2 + 2 has totient <= n
-        for q in range(2, 2 * m.n * m.n + 3):
-            if totient(q) <= m.n and poly_divides(cyclotomic(q), ipoly):
-                return False
+    # Phi_q is monic and primitive, so by Gauss's lemma it divides cp in Q[t]
+    # exactly when it divides the integer polynomial den * cp in Z[t]
+    den = lcm(*[c.denominator for c in cp])
+    ipoly = [int(c * den) for c in reversed(cp)]  # ascending order
+    # phi(q) >= sqrt(q / 2), so no order past 2n^2 + 2 has totient <= n
+    for q in range(1, 2 * m.n * m.n + 3):
+        if totient(q) <= m.n and poly_divides(cyclotomic(q), ipoly):
+            return False
     moduli = np.abs(np.linalg.eigvals(m.to_float()))
     if moduli.min() >= 1.0 + EIG_MARGIN:
         return True
@@ -243,5 +241,4 @@ def contraction_data(a: np.ndarray):
             "no power up to %d of the inverse is a contraction" % CONTRACTION_POWERS
         )
     c, k = best
-    big = max(norms[j] / c**j for j in range(k))
-    return max(big, 1.0), c
+    return max(norms[j] / c**j for j in range(k)), c

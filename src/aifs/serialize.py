@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import AifsError
 from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, frac, fvec
 
@@ -55,19 +56,31 @@ def to_jsonable(x):
     raise TypeError("cannot serialise %r" % type(x))
 
 
+def _field(doc: dict, key: str, convert, *default) -> tuple:
+    """convert applied to each item of doc[key] (of the default when the key
+    is absent); a missing or malformed entry raises an AifsError naming it."""
+    if key not in doc and not default:
+        raise AifsError('the system has no "%s" entry' % key)
+    value = doc.get(key, *default)
+    try:
+        return tuple(convert(x) for x in value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise AifsError('bad "%s" value %r: %s' % (key, value, exc)) from None
+
+
 def system_from_dict(doc: dict) -> AffineSystem:
-    matrix = Matrix([[frac(e) for e in row] for row in doc["matrix"]])
     return AffineSystem(
-        R=matrix,
-        digits=tuple(fvec(b) for b in doc["digits"]),
-        weights=tuple(frac(w) for w in doc.get("weights", ())),
+        R=Matrix(_field(doc, "matrix", fvec)),
+        digits=_field(doc, "digits", fvec),
+        weights=_field(doc, "weights", frac, ()),
         name=doc.get("name", ""),
     )
 
 
 def frequencies_from_dict(doc: dict):
-    freqs = doc.get("frequencies")
-    return None if freqs is None else tuple(fvec(l) for l in freqs)
+    if doc.get("frequencies") is None:
+        return None
+    return _field(doc, "frequencies", fvec)
 
 
 def input_hash(doc) -> str:

@@ -116,7 +116,7 @@ def _zeros_dim1_poly(sys: AffineSystem) -> ZeroSet:
     coeffs = [0.0] * (deg + 1)
     for w, e in zip(sys.weights, exps):
         coeffs[e - base] += float(w)
-    roots = np.roots(coeffs[::-1]) if deg >= 1 else np.array([])
+    roots = np.roots(coeffs[::-1])
     pts, numeric, all_certified = [], [], True
     for z in roots:
         if abs(abs(z) - 1.0) > 1e-7:
@@ -136,24 +136,21 @@ def _zeros_dim1_poly(sys: AffineSystem) -> ZeroSet:
     )
 
 
-#: grid points per axis of the numeric zero sweep (capped at 300,000 in all)
+#: grid points per axis of the numeric zero sweep (64^3 = 262,144 at d = 3)
 ZERO_GRID = 64
 
 
 def _zeros_grid(sys: AffineSystem) -> ZeroSet:
     """Numeric sweep + Gauss-Newton polish; never claims completeness."""
     d = sys.dim
-    n_grid = ZERO_GRID
-    if n_grid**d > 300_000:
-        n_grid = max(4, int(300_000 ** (1.0 / d)))
-    axes = [np.arange(n_grid) / n_grid] * d
+    axes = [np.arange(ZERO_GRID) / ZERO_GRID] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     b = np.array([[float(c) for c in dig] for dig in sys.digits])
     w = np.array([float(x) for x in sys.weights])
     vals = np.abs(np.exp(2j * np.pi * (mesh @ b.T)) @ w)
     # a zero inside a cell forces the corner value below lip * cell diameter
     lip = 2 * math.pi * float(np.linalg.norm(b, axis=1).max() or 1.0)
-    thresh = lip * math.sqrt(d) / n_grid
+    thresh = lip * math.sqrt(d) / ZERO_GRID
     seeds = mesh[vals < thresh]
     if len(seeds) > 512:
         seeds = seeds[np.argsort(vals[vals < thresh])[:512]]
@@ -351,12 +348,8 @@ def orbit_distance_bound(s: Matrix, zeros: ZeroSet) -> DistanceBoundReport:
     scalar odd matrices preserve.
     """
     d = s.n
-    deltas = []
-    for p in zeros.points:
-        best = min(
-            _dist_sq_to_lattice(x) for x in orbit(s, p).points
-        )
-        deltas.append(best)
+    # the orbits of the exact zero points make up their invariant closure
+    deltas = [_dist_sq_to_lattice(x) for x in invariant_superset(s, zeros.points)]
     if zeros.families:
         diag = s.rows[0][0]
         scalar_odd = (

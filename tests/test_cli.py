@@ -300,3 +300,65 @@ def test_attractor_chaos_reports_no_depth(capsys, cantor4_file):
     assert body["attractor"]["mode"] == "chaos"
     assert body["attractor"]["points"] == 64
     assert body["attractor"]["depth"] is None
+
+
+# ---------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"matrix": [[4]], "digits": [[0], [0.5]]}',
+        '{"matrix": [[4]], "digits": [[0], [1e400]]}',  # 1e400 is read as inf
+        '{"matrix": [[4]]}',
+    ],
+)
+def test_malformed_system_file_is_one_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc, body, err = run(capsys, "zeros", str(path))
+    assert rc == 2 and body is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert '"digits"' in lines[0]
+
+
+def test_malformed_frequency_names_its_field(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"matrix": [[4]], "digits": [[0], [2]], "frequencies": [[0], ["x"]]}')
+    rc, body, err = run(capsys, "check-hadamard", str(path))
+    assert rc == 2 and body is None
+    assert err.startswith('error: bad "frequencies" value')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-onb", "SYS", "--level", "2", "--samples", "0"],
+        ["probe-conjecture", "SYS", "--samples", "0"],
+        ["probe-conjecture", "SYS", "--pair-budget", "0"],
+        ["probe-conjecture", "SYS", "--pair-budget", "-1"],
+        ["probe-conjecture", "SYS", "--level", "-1"],
+        ["attractor", "SYS", "--chaos", "--count", "0"],
+        ["attractor", "SYS", "--depth", "-1"],
+        ["spectrum", "SYS", "--level", "-1"],
+        ["cycles", "SYS", "--max-period", "0"],
+        ["dn", "--p", "3", "--d", "2", "--n-max", "0"],
+        ["dn", "--p", "3", "--d", "0"],
+        ["dn", "--p", "1", "--d", "2"],
+        ["dn", "--p", "x", "--d", "2"],
+    ],
+)
+def test_out_of_range_counts_are_rejected_by_the_parser(capsys, cantor4_file, argv):
+    argv = [cantor4_file if a == "SYS" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_count_flags_accept_their_lower_bound(capsys, cantor4_file):
+    rc, body, _ = run(capsys, "spectrum", cantor4_file, "--level", "0")
+    assert rc == 0 and body["spectrum"]["level"] == 0
+    rc, body, _ = run(capsys, "dn", "--p", "2", "--d", "1", "--n-max", "1")
+    assert rc == 0 and body["min_sum"]["p"] == 2

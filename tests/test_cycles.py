@@ -439,3 +439,44 @@ def test_one_step_digit_lattice_matches_fixpoint_reference(sys):
     assert _lattice_or_rank(build_digit_lattice, sys) == _lattice_or_rank(
         reference_digit_lattice, sys
     )
+
+
+def reference_as_fraction(c):
+    """The earlier box-bound conversion: floats rounded to the nearest
+    fraction with denominator at most 10^12."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    return Fraction(float(c)).limit_denominator(10**12)
+
+
+_bounds = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+_basis_entries = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.lists(_basis_entries, min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            ),
+            st.lists(st.tuples(_bounds, _bounds), min_size=d, max_size=d),
+        )
+    )
+)
+def test_float_box_bounds_match_rounded_reference(case):
+    rows, bounds = case
+    basis = Matrix(rows)
+    if abs(basis.det()) < Fraction(1, 2):  # singular, or too many points
+        return
+    lattice = LatticeBasis(basis)
+    lo = [min(b) for b in bounds]
+    hi = [max(b) for b in bounds]
+    want = enumerate_box_points(
+        lattice,
+        [reference_as_fraction(c) for c in lo],
+        [reference_as_fraction(c) for c in hi],
+    )
+    assert enumerate_box_points(lattice, lo, hi) == want

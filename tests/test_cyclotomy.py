@@ -1,12 +1,14 @@
 """Exact vanishing-sum certificates through cyclotomic divisibility."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aifs.cyclotomy import (
+    Q_CAP,
     cyclotomic,
     divisors,
     mobius,
@@ -121,3 +123,82 @@ def test_rotating_a_vanishing_sum_keeps_it_vanishing(q, shift):
     # multiplying every term by e(shift/q) preserves the zero
     phases = [Fraction((k + shift) % q, q) for k in range(q)]
     assert vanishing_sum([1] * q, phases)
+
+
+def reference_vanishing_sum(weights, phases, q_cap=Q_CAP):
+    """The earlier vanishing_sum, with early returns for no terms, for
+    terms that all cancel and for q = 1: the reference the single
+    Phi_q divisibility test must reproduce."""
+    acc, qs, terms = {}, [1], []
+    for w, a in zip(weights, phases, strict=True):
+        w = Fraction(w)
+        if w == 0:
+            continue
+        a = Fraction(a) % 1
+        terms.append((w, a))
+        qs.append(a.denominator)
+    if not terms:
+        return True
+    q = lcm(*qs)
+    if q > q_cap:
+        raise ExactnessUnavailable("common denominator %d exceeds cap" % q)
+    wden = lcm(*[w.denominator for w, _ in terms])
+    for w, a in terms:
+        e = int(a * q) % q
+        acc[e] = acc.get(e, 0) + int(w * wden)
+    acc = {e: c for e, c in acc.items() if c}
+    if not acc:
+        return True
+    g = q
+    for e in acc:
+        g = gcd(g, e)
+    if g > 1:
+        q //= g
+        acc = {e // g: c for e, c in acc.items()}
+    if q == 1:
+        return sum(acc.values()) == 0
+    poly = [0] * q
+    for e, c in acc.items():
+        poly[e] = c
+    return poly_divides(cyclotomic(q), poly)
+
+
+_weights = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)])
+_phases = st.builds(
+    Fraction, st.integers(-13, 13), st.sampled_from([1, 1, 2, 3, 4, 6, 12])
+)
+
+
+@st.composite
+def root_sums(draw):
+    """Short weighted sums of roots of unity: empty lists, integer phases,
+    a full root system, or terms followed by their negatives (which
+    cancel, with phases moved by whole turns)."""
+    n = draw(st.integers(0, 6))
+    weights = draw(st.lists(_weights, min_size=n, max_size=n))
+    phases = draw(st.lists(_phases, min_size=n, max_size=n))
+    extra = draw(st.sampled_from(["none", "cancel", "roots"]))
+    if extra == "cancel":
+        turns = draw(st.integers(-2, 2))
+        weights = weights + [-w for w in weights]
+        phases = phases + [a + turns for a in phases]
+    elif extra == "roots":
+        q = draw(st.integers(1, 12))
+        weights = weights + [draw(_weights)] * q
+        phases = phases + [Fraction(k, q) for k in range(q)]
+    return weights, phases
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_sums())
+def test_vanishing_sum_matches_reference(case):
+    weights, phases = case
+    assert vanishing_sum(weights, phases) == reference_vanishing_sum(weights, phases)
+
+
+def test_degenerate_sums_decided_by_the_general_path():
+    assert vanishing_sum([], [])
+    assert vanishing_sum([0, 0], [Fraction(1, 3), Fraction(1, 2)])
+    assert vanishing_sum([1, -1], [Fraction(1, 3), Fraction(4, 3)])
+    assert vanishing_sum([2, -1, -1], [Fraction(0), Fraction(5), Fraction(-2)])
+    assert not vanishing_sum([1, 2], [Fraction(7), Fraction(0)])

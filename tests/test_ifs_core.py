@@ -1,5 +1,6 @@
 """System construction, attractors, and the self-similarity identity."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,22 @@ def test_cached_inverses_are_lazy_and_exact():
     assert sys.r_inverse == sys.R.inverse()
     assert sys.s_inverse == sys.R.transpose().inverse()
     assert sys.contraction == contraction_data(sys.r_inverse.to_float())
+
+
+def test_symbol_lipschitz_is_cached_and_bit_identical():
+    sys = AffineSystem(
+        R=Matrix([[frac(3), frac(1)], [frac(0), frac(3)]]),
+        digits=((0, 0), (1, 0), (0, 2)),
+        weights=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    )
+    # the expression the truncation tail evaluated on every call before
+    theta = 2.0 * math.pi * sum(
+        float(w) * math.hypot(*[float(v) for v in b])
+        for w, b in zip(sys.weights, sys.digits)
+    )
+    assert "symbol_lipschitz" not in sys.__dict__
+    assert sys.symbol_lipschitz == theta
+    assert sys.symbol_lipschitz is sys.symbol_lipschitz
 
 
 def test_attractor_within_bounding_box():

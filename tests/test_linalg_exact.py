@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aifs.cyclotomy import cyclotomic, poly_divides, totient
 from aifs.errors import BorderlineExpansive, NotExpansive
 from aifs.linalg_exact import (
+    EIG_MARGIN,
     Matrix,
     check_expansive,
     contraction_data,
@@ -221,3 +223,90 @@ def test_leverrier_matches_elimination_references(m):
             m.inverse()
     else:
         assert m.inverse() == reference_inverse(m)
+
+
+# ------------------------------------------- expansivity reference
+
+
+def reference_check_expansive(m):
+    """The earlier check: eigenvalues +-1 from the coefficient sums, the
+    root-of-unity scan from q = 2 only for an integral characteristic
+    polynomial, then the float margin. The single scan from q = 1 over the
+    polynomial with cleared denominators must agree wherever this one
+    decides."""
+    cp = m.charpoly()
+    if cp[-1] == 0:
+        return False
+    if sum(cp) == 0 or sum(c * (-1) ** (m.n - i) for i, c in enumerate(cp)) == 0:
+        return False
+    if all(c.denominator == 1 for c in cp):
+        ipoly = [int(c) for c in reversed(cp)]
+        for q in range(2, 2 * m.n * m.n + 3):
+            if totient(q) <= m.n and poly_divides(cyclotomic(q), ipoly):
+                return False
+    moduli = np.abs(np.linalg.eigvals(m.to_float()))
+    if moduli.min() >= 1.0 + EIG_MARGIN:
+        return True
+    if (moduli <= 1.0 - EIG_MARGIN).any():
+        return False
+    raise BorderlineExpansive("moduli within the margin")
+
+
+_expansivity_entries = st.one_of(
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([2, 3, 4])),
+)
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer or rational matrices up to 3x3 with small entries, so that
+    eigenvalues on the unit circle are common, optionally shifted by a
+    multiple of the identity, so that expansive ones are too. The other
+    branch hides a small integer 2x2 block (often a root of unity) and a
+    rational eigenvalue behind a rational change of basis, which makes the
+    characteristic polynomial non-integral."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        shift = draw(st.sampled_from([0, 0, 3, Fraction(5, 2), -4]))
+        rows = [[draw(_expansivity_entries) for _ in range(n)] for _ in range(n)]
+        return M([[x + shift * (i == j) for j, x in enumerate(row)]
+                  for i, row in enumerate(rows)])
+    a, b, c, d = (draw(st.integers(-1, 1)) for _ in range(4))
+    r = draw(st.sampled_from([Fraction(5, 2), Fraction(-7, 3), Fraction(1, 2), 3]))
+    block = M([[a, b, 0], [c, d, 0], [0, 0, r]])
+    u, v, w = (draw(st.sampled_from([0, 1, Fraction(1, 2), -2])) for _ in range(3))
+    p = M([[1, u, v], [0, 1, w], [0, 0, 1]])
+    return p @ block @ p.inverse()
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_matrices())
+def test_check_expansive_matches_reference(m):
+    try:
+        want = reference_check_expansive(m)
+    except BorderlineExpansive:
+        # the exact scan may now decide what the float margin refused, and
+        # a root of unity can only ever make the answer False
+        try:
+            assert check_expansive(m) is False
+        except BorderlineExpansive:
+            pass
+        return
+    assert check_expansive(m) == want
+
+
+def test_rational_matrix_with_fourth_roots_of_unity_is_rejected_exactly():
+    # eigenvalues +-i and 5/2: the characteristic polynomial
+    # (t^2 + 1)(t - 5/2) is not integral, but Phi_4 divides 2 * it
+    assert check_expansive(M([[0, -1, 0], [1, 0, 0], [0, 0, "5/2"]])) is False
+
+
+def test_eigenvalue_minus_one_is_rejected_exactly():
+    assert check_expansive(M([[-1, 0], [0, 3]])) is False
+
+
+@pytest.mark.parametrize("x", [0.5, float("inf"), float("-inf"), float("nan")])
+def test_frac_refuses_non_integral_floats_with_type_error(x):
+    with pytest.raises(TypeError):
+        frac(x)

@@ -1,15 +1,20 @@
 """Zero sets, torus orbits, family-size bounds, and scaled-minimum scans."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aifs.errors import AifsError
 from aifs.fourier import eval_symbol
 from aifs.ifs_core import AffineSystem
 from aifs.linalg_exact import Matrix, frac
 from aifs.torus_dynamics import (
+    DistanceBoundReport,
+    ZeroSet,
+    _dist_sq_to_lattice,
     find_zeros,
     finite_bound,
     has_zero_weighted,
@@ -234,3 +239,71 @@ def test_torus_maps_refuse_a_rational_matrix():
     for call in (invariant_superset, is_invariant, finite_bound):
         with pytest.raises(ValueError, match="integer matrix"):
             call(s, pts)
+
+
+def reference_orbit_distance_bound(s, zeros):
+    """The earlier bound, minimising over each zero point's own orbit; the
+    invariant closure of all the points must give the same report."""
+    d = s.n
+    deltas = [
+        min(_dist_sq_to_lattice(x) for x in orbit(s, p).points) for p in zeros.points
+    ]
+    if zeros.families:
+        diag = s.rows[0][0]
+        if not (
+            s == Matrix.identity(d).scale(diag)
+            and diag.denominator == 1
+            and int(diag) % 2 == 1
+        ):
+            raise AifsError("distance bound for zero continua needs odd scalars")
+        deltas.append(Fraction(1, 4))
+    if not deltas:
+        raise AifsError("empty zero set; distance bound does not apply")
+    delta_sq = min(deltas)
+    if delta_sq == 0:
+        raise AifsError("zero orbit meets the lattice; bound does not apply")
+    ratio = Fraction(d) / delta_sq
+    k = isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
+    note = None
+    if d == 3 and k + 1 == 4:
+        note = "dimension slip"
+    return DistanceBoundReport(
+        delta_sq=delta_sq, bound=(k + 1) ** d, exact=True, note=note
+    )
+
+
+def _distance_outcome(bound, s, zeros):
+    try:
+        rep = bound(s, zeros)
+    except AifsError:
+        return "refused"
+    return rep.delta_sq, rep.bound, rep.exact, bool(rep.note)
+
+
+_torus_coords = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            ),
+            st.lists(
+                st.tuples(*[_torus_coords] * d), min_size=0, max_size=4
+            ),
+        )
+    )
+)
+def test_distance_bound_from_closure_matches_per_point_orbits(case):
+    rows, points = case
+    s = Matrix(rows)
+    zeros = ZeroSet(points=tuple(points), complete=True)
+    assert _distance_outcome(orbit_distance_bound, s, zeros) == _distance_outcome(
+        reference_orbit_distance_bound, s, zeros
+    )
