@@ -130,7 +130,7 @@ def _cmd_attractor(args):
         )
     payload = {
         "points": len(pts),
-        "mode": "chaos" if args.chaos else "deterministic",
+        "mode": cloud.mode,
         "depth": cloud.depth,
         "min": pts.min(axis=0).tolist(),
         "max": pts.max(axis=0).tolist(),

@@ -190,17 +190,12 @@ def mu_hat_grid(sys: AffineSystem, xs: np.ndarray) -> tuple:
 def normalization_residual(sys_b: AffineSystem, sys_l: AffineSystem, x) -> float:
     """|sum_l W_B(sigma_l(x)) - 1| where sigma_l are the contractions of the
     dual system (R^T, L). Identically zero exactly when the digit matrix is
-    unitary (the transfer operator fixes the constant 1). Float x is a float
-    diagnostic evaluated through ``eval_symbol_float``."""
-    try:
-        xr = fvec(x)
-    except TypeError:
-        rinv = sys_l.r_inverse.to_float()
-        xf = np.asarray([float(c) for c in x])
-        total = sum(
-            abs(eval_symbol_float(sys_b, rinv @ (xf + np.array(l, dtype=float)))) ** 2
-            for l in sys_l.digits
-        )
-    else:
-        total = sum(eval_wb(sys_b, sys_l.tau(i, xr)) for i in range(sys_l.n_digits))
+    unitary (the transfer operator fixes the constant 1). A float diagnostic:
+    x is taken to floats and the symbol evaluated by ``eval_symbol_float``."""
+    rinv = sys_l.r_inverse.to_float()
+    xf = np.asarray([float(c) for c in x])
+    total = sum(
+        abs(eval_symbol_float(sys_b, rinv @ (xf + np.array(l, dtype=float)))) ** 2
+        for l in sys_l.digits
+    )
     return abs(total - 1.0)

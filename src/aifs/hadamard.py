@@ -113,8 +113,6 @@ def conjugate_system(sys: AffineSystem, v: Matrix) -> AffineSystem:
     Its measure transform satisfies mu_V^(x) = mu^(V^T x), which makes the
     pair a strong cross-check on the evaluation pipeline.
     """
-    if v.det() == 0:
-        raise ValueError("change of variables must be invertible")
     r_v = (v @ sys.R) @ v.inverse()
     digs = tuple(v.mat_vec(b) for b in sys.digits)
     return AffineSystem(
@@ -212,13 +210,12 @@ def conjecture_probe(
     Parseval sums. Finite-level evidence only -- never a proof -- and the
     report says so.
     """
-    triple = check_hadamard(sys_geom.R, sys_geom.digits, l_digits)
-    if not triple.certified:
-        raise ValueError("probe requires a certified compatible pair")
-    swap = sys_geom.dual(triple.l_digits)  # its own dual is (R, B) again
+    pair = make_dual_pair(sys_geom, l_digits)
+    b, l = pair.triple.b_digits, pair.triple.l_digits
+    # the swap (R^T, L, B) analyses the dual, whose own dual is (R, B) again
     sides = [
-        ("R,B,L", Analysis(sys_geom, triple.l_digits, PROBE_MAX_PERIOD, via="words")),
-        ("R^T,L,B", Analysis(swap, triple.b_digits, PROBE_MAX_PERIOD, via="words")),
+        ("R,B,L", Analysis(sys_geom, l, PROBE_MAX_PERIOD, via="words")),
+        ("R^T,L,B", Analysis(pair.sys_dual, b, PROBE_MAX_PERIOD, via="words")),
     ]
     orientations = []
     rng = random.Random(PROBE_SEED)

@@ -158,7 +158,6 @@ class AttractorCloud:
     attractor itself. Chaos-game mode is float Monte Carlo.
     """
 
-    system: AffineSystem
     mode: str
     depth: int | None  # None for the chaos game, which has no depth
     points: list = field(default_factory=list)
@@ -195,7 +194,7 @@ def attractor(
         pts = [x0]
         for _ in range(depth):
             pts = [sys.tau(i, p) for i in range(sys.n_digits) for p in pts]
-        return AttractorCloud(system=sys, mode=mode, depth=depth, points=pts)
+        return AttractorCloud(mode=mode, depth=depth, points=pts)
     if mode == "chaos":
         rng = random.Random(seed)
         rinv = sys.r_inverse.to_float()
@@ -207,7 +206,7 @@ def attractor(
             x = rinv @ (x + rng.choices(digs, weights=wts)[0])
             if k >= 32:  # burn-in
                 pts.append(tuple(x))
-        return AttractorCloud(system=sys, mode=mode, depth=None, points=pts)
+        return AttractorCloud(mode=mode, depth=None, points=pts)
     raise ValueError("mode must be 'deterministic' or 'chaos'")
 
 

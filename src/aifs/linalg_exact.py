@@ -18,7 +18,7 @@ from operator import mul
 import numpy as np
 
 from .cyclotomy import cyclotomic, poly_divides, totient
-from .errors import BorderlineExpansive, NotExpansive
+from .errors import BorderlineExpansive, BudgetExceeded, NotExpansive
 
 Vec = tuple  # tuple[Fraction, ...]; kept loose so ints pass through helpers
 
@@ -223,7 +223,8 @@ def contraction_data(a: np.ndarray):
     the contracting powers, and C = max_{j<k} ||a^j|| / c^j. Norms are
     largest singular values inflated by 1%, which absorbs float error in the
     powers; the sub-multiplicative splitting n = q*k + j then certifies the
-    bound up to that margin.
+    bound up to that margin. An inverse that contracts too slowly for the
+    scanned powers to show it raises BudgetExceeded, not NotExpansive.
     """
     norms = [1.0]
     p = np.eye(a.shape[0])
@@ -237,7 +238,7 @@ def contraction_data(a: np.ndarray):
             if best is None or c < best[0]:
                 best = (c, k)
     if best is None:
-        raise NotExpansive(
+        raise BudgetExceeded(
             "no power up to %d of the inverse is a contraction" % CONTRACTION_POWERS
         )
     c, k = best

@@ -13,15 +13,12 @@ import hashlib
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import AifsError
 from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, frac, fvec
 
 
 def frac_str(f: Fraction) -> str:
-    f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
         f.numerator,
         f.denominator,
@@ -32,14 +29,8 @@ def to_jsonable(x):
     """Recursively convert package objects to plain JSON values."""
     if isinstance(x, Fraction):
         return frac_str(x)
-    if isinstance(x, Matrix):
-        return [[frac_str(e) for e in row] for row in x.rows]
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [to_jsonable(v) for v in x.tolist()]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         out = {"type": type(x).__name__}
         for f in dataclasses.fields(x):
@@ -47,8 +38,6 @@ def to_jsonable(x):
         return out
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(x)]
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
     if isinstance(x, (str, int, float, bool)) or x is None:
@@ -69,6 +58,8 @@ def _field(doc: dict, key: str, convert, *default) -> tuple:
 
 
 def system_from_dict(doc: dict) -> AffineSystem:
+    if not isinstance(doc, dict):
+        raise AifsError("a system file must hold a JSON object")
     return AffineSystem(
         R=Matrix(_field(doc, "matrix", fvec)),
         digits=_field(doc, "digits", fvec),

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -214,10 +214,8 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
         math.sqrt(float(_dist_sq_to_lattice(z))) for z in zeros.points
     )
     big_c, c = sys.contraction
-    corner_norm = max(
-        math.hypot(*[float(x) for x in corner])
-        for corner in product(*zip(lo, hi))
-    )
+    # the farthest corner takes the larger |bound| on every axis
+    corner_norm = math.hypot(*[float(max(abs(a), abs(b))) for a, b in zip(lo, hi)])
     out = set()
     spow = Matrix.identity(sys.dim)
     for n in range(1, DIFF_LEVELS + 1):

@@ -362,3 +362,26 @@ def test_count_flags_accept_their_lower_bound(capsys, cantor4_file):
     assert rc == 0 and body["spectrum"]["level"] == 0
     rc, body, _ = run(capsys, "dn", "--p", "2", "--d", "1", "--n-max", "1")
     assert rc == 0 and body["min_sum"]["p"] == 2
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1]"])
+def test_system_file_must_hold_an_object(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc, body, err = run(capsys, "zeros", str(path))
+    assert rc == 2 and body is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_slowly_contracting_system_is_a_limit(capsys, tmp_path):
+    # expansive, so the attractor builds, but its inverse contracts too
+    # slowly for the contraction scan that bounds the product's tail
+    path = tmp_path / "slow.json"
+    path.write_text('{"matrix": [["10001/10000"]], "digits": [[0], [1]]}')
+    rc, _, _ = run(capsys, "attractor", str(path), "--depth", "2")
+    assert rc == 0
+    rc, body, err = run(capsys, "mu-hat", str(path), "--x", "1/3")
+    assert rc == 3 and body is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("limit:")

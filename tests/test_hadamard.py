@@ -103,6 +103,11 @@ def test_conjugate_system():
     assert conj.digits == ((Fraction(0),), (Fraction(4),))
 
 
+def test_conjugate_system_rejects_a_singular_change_of_variables():
+    with pytest.raises(ValueError):
+        conjugate_system(CANTOR4, Matrix([[frac(0)]]))
+
+
 def test_covariance_identity_scalar():
     # mu^_{VB}(x) = mu^_B(V^T x)
     v = Matrix([[frac(3)]])
@@ -140,6 +145,11 @@ def test_probe_cantor4_both_orientations_spectral():
     assert rep.verdicts == ("spectral-evidence", "spectral-evidence")
     assert all(o.q_min >= 0.99 for o in rep.orientations)
     assert "evidence" in rep.note.lower() or "proof" in rep.note.lower()
+
+
+def test_probe_requires_a_certified_pair():
+    with pytest.raises(ValueError, match="not a certified compatible pair"):
+        conjecture_probe(CANTOR4, ((frac(0),), (frac(2),)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aifs.cyclotomy import cyclotomic, poly_divides, totient
-from aifs.errors import BorderlineExpansive, NotExpansive
+from aifs.errors import BorderlineExpansive, BudgetExceeded, NotExpansive
 from aifs.linalg_exact import (
     EIG_MARGIN,
     Matrix,
@@ -310,3 +310,11 @@ def test_eigenvalue_minus_one_is_rejected_exactly():
 def test_frac_refuses_non_integral_floats_with_type_error(x):
     with pytest.raises(TypeError):
         frac(x)
+
+
+def test_slow_contraction_is_a_budget_limit_not_a_verdict():
+    # R = 10001/10000 is expansive, but no power up to CONTRACTION_POWERS of
+    # its inverse has a 1%-inflated norm below 1
+    assert check_expansive(M([["10001/10000"]]))
+    with pytest.raises(BudgetExceeded):
+        contraction_data(np.array([[10000 / 10001]]))

@@ -341,3 +341,15 @@ def test_difference_set_is_the_certified_differences(system, grid, n_diffs):
     assert {delta for delta in diffs if delta in hset} == {
         delta for delta, status in statuses.items() if status == "certified"
     }
+
+
+def test_period_two_cycle_spectrum_is_orthogonal():
+    # scale 2, digits {0, 1}, frequencies {0, 3}: extreme cycles {0}, {1, 2}
+    # and {3} seed a level-4 spectrum of 64 mutually orthogonal frequencies
+    s = sys1d(2, [0, 1])
+    an = Analysis(s, ((Fraction(0),), (Fraction(3),)))
+    assert sorted(len(c.points) for c in an.extreme) == [1, 1, 2]
+    spectrum = an.spectrum(4)
+    assert spectrum.size == 64
+    rep = certify_all_pairs(s, spectrum.elements)
+    assert rep.n_pairs == rep.certified == 2016
