@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys as _sys
+from functools import cache
 
 from . import __version__
 from .errors import AifsError, BudgetExceeded, ExactnessUnavailable
@@ -308,6 +309,7 @@ def _cmd_catalog(args):
 # parser
 
 
+@cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aifs",

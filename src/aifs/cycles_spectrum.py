@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import ceil, floor, lcm
-from operator import add, mul
+from math import ceil, floor
+from operator import add
 
 from .errors import BudgetExceeded, RankDeficient
 from .fourier import is_symbol_unimodular
 from .ifs_core import AffineSystem, bounding_box
-from .linalg_exact import Matrix, fvec, vec_add, vec_sub
+from .linalg_exact import Matrix, fvec, int_mat_vec, int_rows, integer_rows
+from .linalg_exact import vec_add, vec_sub
 
 Vec = tuple
 
@@ -117,14 +118,14 @@ def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
     """
     if not sys.R.is_integer:
         raise ValueError("digit lattice is defined for integer matrices only")
-    den = lcm(1, *[c.denominator for b in sys.digits for c in b])
-    gens = [g for g in _scaled(sys.digits, den) if any(g)]
-    r_int = _scaled(sys.R.rows, 1)
+    den, gens = integer_rows(sys.digits)
+    gens = [g for g in gens if any(g)]
+    r_int = int_rows(sys.R.rows, 1)
     orbits = []
     for g in gens:
         for _ in range(sys.dim):
             orbits.append(g)
-            g = _int_mat_vec(r_int, g)
+            g = int_mat_vec(r_int, g)
     basis = integer_span_basis(orbits)
     if len(basis) < sys.dim:
         raise RankDeficient(
@@ -286,20 +287,16 @@ def find_cycles_by_words(
     if sum(n**m for m in range(1, max_period + 1)) > budget:
         raise BudgetExceeded("word scan would be larger than %d" % budget)
     s = sys_dual.R
-    a = lcm(*(e.denominator for row in s.rows for e in row))
-    c = lcm(*(x.denominator for l in sys_dual.digits for x in l))
-    t = _scaled(s.rows, a)
-    digits = _scaled(sys_dual.digits, c)
+    a, t = integer_rows(s.rows)
+    c, digits = integer_rows(sys_dual.digits)
     # shifted[k][i] = a^k L_i, the digit term at depth k of the trie
-    shifted = [_scaled(digits, a**k) for k in range(max_period + 1)]
+    shifted = [int_rows(digits, a**k) for k in range(max_period + 1)]
     ident = Matrix.identity(d)
     per_length = [None]  # m -> (J, D, [e a^m L_i])
     for m in range(1, max_period + 1):
         inv = s.pow(m).add(ident.scale(-1)).inverse()
-        e = lcm(*(x.denominator for row in inv.rows for x in row))
-        per_length.append(
-            (_scaled(inv.rows, e), e * c * a**m, _scaled(digits, e * a**m))
-        )
+        e, inv_rows = integer_rows(inv.rows)
+        per_length.append((inv_rows, e * c * a**m, int_rows(digits, e * a**m)))
     cycles = {}
     word = [0]
     accs = [(0,) * d]  # accs[k]: A_k of the current word's length-k prefix
@@ -307,15 +304,15 @@ def find_cycles_by_words(
         m = len(word)
         for k in range(len(accs), m + 1):
             accs.append(
-                tuple(map(add, _int_mat_vec(t, accs[-1]), shifted[k][word[k - 1]]))
+                tuple(map(add, int_mat_vec(t, accs[-1]), shifted[k][word[k - 1]]))
             )
         inv, den, stepped = per_length[m]
-        x = _int_mat_vec(inv, accs[m])
+        x = int_mat_vec(inv, accs[m])
         pts = []
         for li in word:
             pts.append(x)
             # D (S x - l_i) = T X / a - e a^m L_i, exact for a cycle point
-            x = tuple(y // a - z for y, z in zip(_int_mat_vec(t, x), stepped[li]))
+            x = tuple(y // a - z for y, z in zip(int_mat_vec(t, x), stepped[li]))
         if x != pts[0]:
             raise RuntimeError(
                 "orbit of word %s does not close up" % (tuple(word),)
@@ -338,15 +335,6 @@ def find_cycles_by_words(
         word[-1] += 1
         del accs[len(word):]
     return sorted(cycles.values(), key=lambda r: r.points)
-
-
-def _scaled(rows, k: int) -> list:
-    """Integer rows k * row for rational rows that k clears."""
-    return [tuple(int(x * k) for x in row) for row in rows]
-
-
-def _int_mat_vec(rows, v) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def classify_extreme(sys_geom: AffineSystem, cycles) -> list:

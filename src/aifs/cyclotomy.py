@@ -124,24 +124,21 @@ def vanishing_sum(weights, phases, q_cap: int = Q_CAP) -> bool:
     ExactnessUnavailable when the common phase denominator exceeds q_cap.
     """
     acc = {}
-    qs = [1]
     terms = []
     for w, a in zip(weights, phases, strict=True):
-        w = Fraction(w)
-        if w == 0:
-            continue
-        a = Fraction(a) % 1
-        terms.append((w, a))
-        qs.append(a.denominator)
-    q = lcm(*qs)
+        w = w if isinstance(w, (int, Fraction)) else Fraction(w)
+        if w:
+            terms.append((w, a if isinstance(a, (int, Fraction)) else Fraction(a)))
+    q = lcm(1, *[a.denominator for _, a in terms])
     if q > q_cap:
         raise ExactnessUnavailable(
             "common denominator %d exceeds cap %d" % (q, q_cap)
         )
     wden = lcm(*[w.denominator for w, _ in terms])
+    # integer numerators over q and wden; % q takes each phase mod 1
     for w, a in terms:
-        e = int(a * q) % q
-        acc[e] = acc.get(e, 0) + int(w * wden)
+        e = a.numerator * (q // a.denominator) % q
+        acc[e] = acc.get(e, 0) + w.numerator * (wden // w.denominator)
     acc = {e: c for e, c in acc.items() if c}
     # strip a common factor of the exponents: a sum over q-th roots supported
     # on multiples of g is the same sum over (q/g)-th roots (no terms left:

@@ -14,13 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomy import vanishing_sum
 from .errors import BudgetExceeded, ExactnessUnavailable
 from .ifs_core import AffineSystem
-from .linalg_exact import fvec, vec_dot
+from .linalg_exact import fvec, int_mat_vec, lattice_numerators
 
 #: a symbol value whose float modulus exceeds this is certainly non-zero:
 #: the evaluation error of a <=32-term unit sum is below 1e-13, five orders
@@ -35,23 +36,27 @@ class SymbolValue:
     certified: bool  # whether the zero/non-zero status is rigorous
 
 
-def _rational_phases(sys: AffineSystem, x) -> list:
-    x = fvec(x)
-    return [vec_dot(b, x) % 1 for b in sys.digits]
+def _phase_residues(sys: AffineSystem, x, den: int) -> tuple:
+    """(r, M): the phases b.(x / den) mod 1 as integer residues r_b / M."""
+    num, den = lattice_numerators(x, den)
+    c, digits = sys.integer_digits
+    return [r % (c * den) for r in int_mat_vec(digits, num)], c * den
 
 
-def eval_symbol(sys: AffineSystem, x) -> SymbolValue:
-    """Evaluate m(x) at a rational x with an exact zero/non-zero certificate;
-    float points raise TypeError (``eval_symbol_float`` evaluates those)."""
-    phases = _rational_phases(sys, x)
+def eval_symbol(sys: AffineSystem, x, den: int = 1) -> SymbolValue:
+    """Evaluate m(x / den) at a rational x with an exact zero/non-zero
+    certificate; float points raise TypeError (``eval_symbol_float``
+    evaluates those). r / M rounds correctly: each phase is the float of
+    the reduced fraction."""
+    res, m = _phase_residues(sys, x, den)
     val = sum(
-        complex(w) * cmath.exp(2j * math.pi * float(a))
-        for w, a in zip(sys.weights, phases)
+        complex(w) * cmath.exp(2j * math.pi * (r / m))
+        for w, r in zip(sys.weights, res)
     )
     if abs(val) > ZERO_PREFILTER:
         return SymbolValue(val, False, True)
     try:
-        zero = vanishing_sum(sys.weights, phases)
+        zero = vanishing_sum(sys.weights, [Fraction(r, m) for r in res])
     except ExactnessUnavailable:
         return SymbolValue(val, False, False)
     return SymbolValue(0j if zero else val, zero, True)
@@ -69,8 +74,7 @@ def is_symbol_unimodular(sys: AffineSystem, x) -> bool:
     A convex combination of unit vectors has modulus 1 precisely when all
     the unit vectors coincide, i.e. all phases b.x agree mod 1.
     """
-    phases = _rational_phases(sys, x)
-    return len(set(phases)) == 1
+    return len(set(_phase_residues(sys, x, 1)[0])) == 1
 
 
 def eval_wb(sys: AffineSystem, x) -> float:
@@ -110,17 +114,20 @@ def truncation_tail(sys: AffineSystem, xnorm: float):
     return tail
 
 
-def factor_chain(sys: AffineSystem, x, terms: int):
-    """Yield (n, S^{-n} x, m(S^{-n} x), tail_n) for n = 1..terms at a
-    rational x: the factors of mu^(x) = prod_n m(S^{-n} x), each with its
-    exact zero certificate, and the ``truncation_tail`` bound tail_n on
-    how far the factors past n move the product from 1."""
-    y = fvec(x)
-    tail_at = truncation_tail(sys, math.hypot(*[float(v) for v in y]) or 1.0)
-    sinv = sys.s_inverse
+def factor_chain(sys: AffineSystem, x, terms: int, den: int = 1):
+    """Yield (n, Y_n, D_n, m(S^{-n} x'), tail_n) for n = 1..terms at the
+    rational x' = x / den: the factors of mu^(x') = prod_n m(S^{-n} x'),
+    each with its exact zero certificate, S^{-n} x' = Y_n / D_n in integers
+    (Y_n = A Y_{n-1}, D_n = e D_{n-1} for S^{-1} = A / e), and the
+    ``truncation_tail`` bound tail_n on how far the factors past n move
+    the product from 1."""
+    y, den = lattice_numerators(x, den)
+    tail_at = truncation_tail(sys, math.hypot(*[v / den for v in y]) or 1.0)
+    e, a = sys.integer_s_inverse
     for n in range(1, terms + 1):
-        y = sinv.mat_vec(y)
-        yield n, y, eval_symbol(sys, y), tail_at(n)
+        y = int_mat_vec(a, y)
+        den *= e
+        yield n, y, den, eval_symbol(sys, y, den), tail_at(n)
 
 
 def eval_mu_hat(
@@ -134,7 +141,7 @@ def eval_mu_hat(
     (R^T)^{-n} x stay exact, so factor zeros are certified, not guessed.
     """
     prod = complex(1.0)
-    for n, _, sv, tail in factor_chain(sys, x, policy.max_terms):
+    for n, _, _, sv, tail in factor_chain(sys, x, policy.max_terms):
         if sv.is_zero:
             return MuHatValue(0j, 0.0, True, n)
         prod *= sv.value

@@ -24,7 +24,7 @@ from .errors import ExactnessUnavailable
 from .fourier import TruncationPolicy, eval_mu_hat
 from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, fvec, vec_dot, vec_sub
-from .verify import Analysis, completeness_q, pair_statuses
+from .verify import Analysis, FrequencyLattice, completeness_q
 
 Vec = tuple
 
@@ -224,9 +224,10 @@ def conjecture_probe(
         spectrum = an.spectrum(lv)
         elements = spectrum.elements
         pairs = sample_pairs(rng, len(elements), pair_budget)
-        counts = Counter(
-            status for _, _, status in pair_statuses(an.sys, elements, pairs)
-        )
+        lat = FrequencyLattice(elements)
+        diffs = [lat.keys[i] - lat.keys[j] for i, j in pairs]
+        table = lat.statuses(an.sys, diffs)
+        counts = Counter(table[abs(k)] for k in diffs)
         qrep = completeness_q(an.sys, elements, samples=samples)
         if counts["not-orthogonal"] > 0 or not qrep.within_bessel:
             verdict = "counterexample-evidence"

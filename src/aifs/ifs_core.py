@@ -25,6 +25,9 @@ from .linalg_exact import (
     ensure_expansive,
     frac,
     fvec,
+    int_mat_vec,
+    integer_rows,
+    lattice_numerators,
     vec_add,
 )
 
@@ -89,6 +92,16 @@ class AffineSystem:
     def s_inverse(self) -> Matrix:
         """S^{-1} = (R^T)^{-1}, the pull-back of the dual (frequency) side."""
         return self.r_inverse.transpose()
+
+    @cached_property
+    def integer_digits(self) -> tuple:
+        """(c, [c b]): the digits as integer vectors over a denominator c."""
+        return integer_rows(self.digits)
+
+    @cached_property
+    def integer_s_inverse(self) -> tuple:
+        """(e, A) with S^{-1} = A / e and A an integer matrix."""
+        return integer_rows(self.s_inverse.rows)
 
     @cached_property
     def contraction(self) -> tuple:
@@ -187,13 +200,20 @@ def attractor(
                 % (sys.n_digits**depth, CLOUD_CAP)
             )
         # fixed point of tau_0 solves (R - I) x = b_0
-        ident = Matrix.identity(sys.dim)
-        x0 = (
-            sys.R.add(ident.scale(-1))
-        ).inverse().mat_vec(sys.digits[0])
-        pts = [x0]
+        minus_one = Matrix.identity(sys.dim).scale(-1)
+        x, den = lattice_numerators(
+            sys.R.add(minus_one).inverse().mat_vec(sys.digits[0])
+        )
+        # one denominator per level: with x = X / den, R^{-1} = A / e and
+        # b = B / c, tau_b(x) = A (c X + den B) / (e c den)
+        e, a = integer_rows(sys.r_inverse.rows)
+        c, digits = sys.integer_digits
+        pts = [x]
         for _ in range(depth):
-            pts = [sys.tau(i, p) for i in range(sys.n_digits) for p in pts]
+            pts = [int_mat_vec(a, [c * v + den * w for v, w in zip(p, b)])
+                   for b in digits for p in pts]
+            den *= e * c
+        pts = [tuple(Fraction(v, den) for v in p) for p in pts]
         return AttractorCloud(mode=mode, depth=depth, points=pts)
     if mode == "chaos":
         rng = random.Random(seed)

@@ -56,6 +56,29 @@ def vec_dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def int_rows(rows, k: int) -> list:
+    """Integer rows k * row for rational (or int) rows that k clears."""
+    return [tuple(x.numerator * (k // x.denominator) for x in row) for row in rows]
+
+
+def integer_rows(rows) -> tuple:
+    """(k, int_rows(rows, k)) for k the lcm of the entry denominators."""
+    k = lcm(1, *(x.denominator for row in rows for x in row))
+    return k, int_rows(rows, k)
+
+
+def int_mat_vec(rows, v) -> tuple:
+    return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def lattice_numerators(x, den: int = 1) -> tuple:
+    """(N, D) with integer N and x / den = N / D; integer x passes through."""
+    if all(type(v) is int for v in x):
+        return tuple(x), den
+    k, (num,) = integer_rows([fvec(x)])
+    return num, k * den
+
+
 class Matrix:
     """Immutable square matrix with exact rational entries."""
 
@@ -127,8 +150,7 @@ class Matrix:
         coefficients of det(tI - A) and P = A^{n-1} + a_1 A^{n-2} + ... +
         a_{n-1} I, so A P = -a_n I by Cayley-Hamilton (P = +-adj(A))."""
         n = self.n
-        den = lcm(*(e.denominator for row in self.rows for e in row))
-        a = [[int(e * den) for e in row] for row in self.rows]
+        den, a = integer_rows(self.rows)
         coeffs = [1]
         p = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):

@@ -22,8 +22,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import combinations, islice
+from operator import sub
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .cycles_spectrum import (
 from .errors import AifsError, BudgetExceeded
 from .fourier import eval_symbol, factor_chain, mu_hat_grid
 from .ifs_core import AffineSystem, simplex_system
-from .linalg_exact import Matrix, fvec, vec_add, vec_sub
+from .linalg_exact import Matrix, frac, fvec, integer_rows, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros
 
 Vec = tuple
@@ -60,8 +61,12 @@ class OrthogonalityCertificate:
 PAIR_DEPTH = 48
 
 
-def orthogonal_pair(sys: AffineSystem, lam, lam_prime) -> OrthogonalityCertificate:
-    """Decide orthogonality of e_lam and e_lam' for the invariant measure.
+def orthogonal_pair(
+    sys: AffineSystem, lam, lam_prime, den: int = 1
+) -> OrthogonalityCertificate:
+    """Decide orthogonality of e_lam and e_lam' for the invariant measure,
+    at the frequencies lam / den and lam' / den (den defaults to 1; the pair
+    table passes integer numerators over its lattice denominator).
 
     Walks the factor chain m(S^{-n}(lam - lam')): an exact factor zero
     certifies orthogonality at that index; if every factor up to n is
@@ -70,21 +75,88 @@ def orthogonal_pair(sys: AffineSystem, lam, lam_prime) -> OrthogonalityCertifica
     pair is certifiedly NOT orthogonal. Anything else is undetermined
     (PAIR_DEPTH or an exactness cap was hit).
     """
-    lam, lam_prime = fvec(lam), fvec(lam_prime)
-    delta = vec_sub(lam, lam_prime)
-    if all(c == 0 for c in delta):
+    lam, lam_prime = (
+        tuple(v if type(v) is int else frac(v) for v in x) for x in (lam, lam_prime)
+    )
+    delta = tuple(map(sub, lam, lam_prime))
+    if not any(delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
+    cert = partial(OrthogonalityCertificate, _exact(lam, den), _exact(lam_prime, den))
     all_factors_certified = True
-    for n, y, sv, tail in factor_chain(sys, delta, PAIR_DEPTH):
+    for n, y, y_den, sv, tail in factor_chain(sys, delta, PAIR_DEPTH, den):
         if sv.is_zero:
-            return OrthogonalityCertificate(
-                lam, lam_prime, "certified", vanishing_index=n, zero_point=y
-            )
+            return cert("certified", n, _exact(y, y_den))
         all_factors_certified = all_factors_certified and sv.certified
         # the product of the factors past n is within 0.999 of 1: not zero
         if all_factors_certified and tail < 0.999:
-            return OrthogonalityCertificate(lam, lam_prime, "not-orthogonal")
-    return OrthogonalityCertificate(lam, lam_prime, "undetermined")
+            return cert("not-orthogonal")
+    return cert("undetermined")
+
+
+def _exact(vec, den: int) -> Vec:
+    return tuple(Fraction(v, den) for v in vec)
+
+
+class FrequencyLattice:
+    """Rational vectors on one lattice (1/den) Z^d, each packed into one int.
+
+    The key of a numerator vector N is sum_k N_k W^k with W = 2 span + 1,
+    span the widest coordinate range. A key difference is then a balanced
+    base-W numeral whose digits are the coordinates of N - N', so it
+    determines N - N' exactly, and key(g) + key(h) is a key exactly when
+    g + h is a point, for h within the span (digits of size at most
+    2 span < W sum to 0 only if all are 0). A pair certificate depends only
+    on +-(lam - lam'), so the pair table certifies each |key difference|
+    once.
+    """
+
+    def __init__(self, points):
+        self.points = [fvec(p) for p in points]
+        self.den, nums = integer_rows(self.points)
+        self.spans = [max(c) - min(c) for c in zip(*nums)]
+        self.base = 2 * max(self.spans, default=0) + 1
+        self.keys = list(map(self._pack, nums))
+
+    def _pack(self, num) -> int:
+        return sum(v * self.base**k for k, v in enumerate(num))
+
+    def unpack(self, k: int) -> tuple:
+        """The numerators of the difference a key difference k stands for."""
+        half, out = self.base // 2, []
+        for _ in self.spans:
+            out.append((k + half) % self.base - half)
+            k = (k - out[-1]) // self.base
+        return tuple(out)
+
+    def neighbors(self, diffs) -> list:
+        """For each point i the set of points j with g_j - g_i in ``diffs``
+        (rational vectors), filled in the order of ``diffs``."""
+        index = {k: i for i, k in enumerate(self.keys)}
+        out = [set() for _ in self.keys]
+        for h in diffs:
+            num = [c * self.den for c in h]
+            # off the lattice, or wider than the span: joins no two points
+            if any(c.denominator != 1 or abs(c) > self.base // 2 for c in num):
+                continue
+            shift = self._pack(map(int, num))
+            for k in filter(index.__contains__, map(shift.__add__, self.keys)):
+                out[index[k - shift]].add(index[k])
+        return out
+
+    def differences(self) -> Counter:
+        """Key differences of all pairs i < j, with their multiplicities."""
+        diffs = Counter()
+        for i, k in enumerate(self.keys):
+            diffs.update(map(k.__sub__, self.keys[i + 1:]))
+        return diffs
+
+    def statuses(self, sys: AffineSystem, diffs) -> dict:
+        """The certificate status of each key difference, keyed by |k|."""
+        zero = (0,) * len(self.spans)
+        return {
+            k: orthogonal_pair(sys, self.unpack(k), zero, self.den).status
+            for k in set(map(abs, diffs))
+        }
 
 
 @dataclass(frozen=True)
@@ -101,42 +173,34 @@ class PairMatrixReport:
         return self.certified == self.n_pairs
 
 
-def pair_statuses(sys: AffineSystem, freqs, pairs):
-    """Yield (i, j, status) for each index pair of the exact vectors ``freqs``.
-
-    A certificate depends only on lam - lam', and m(-y) is the conjugate of
-    m(y), so statuses are memoised on +-(freqs[i] - freqs[j])."""
-    memo = {}
-    for i, j in pairs:
-        delta = vec_sub(freqs[i], freqs[j])
-        status = memo.get(delta)
-        if status is None:
-            status = orthogonal_pair(sys, freqs[i], freqs[j]).status
-            memo[delta] = memo[tuple(-x for x in delta)] = status
-        yield i, j, status
-
-
 #: offending pairs a PairMatrixReport lists as examples
 BAD_PAIRS_KEPT = 16
 
 
 def certify_all_pairs(sys: AffineSystem, frequencies) -> PairMatrixReport:
-    """Pairwise orthogonality over a whole frequency list."""
-    freqs = [fvec(f) for f in frequencies]
-    n = len(freqs)
+    """Pairwise orthogonality over a whole frequency list: one certificate
+    per +-difference, counted over the pairs that share it."""
+    lat = FrequencyLattice(frequencies)
+    diffs = lat.differences()
+    table = lat.statuses(sys, diffs)
     counts = Counter()
-    bad = []
-    for i, j, status in pair_statuses(sys, freqs, combinations(range(n), 2)):
-        counts[status] += 1
-        if status != "certified" and len(bad) < BAD_PAIRS_KEPT:
-            bad.append((freqs[i], freqs[j]))
+    for k, c in diffs.items():
+        counts[table[abs(k)]] += c
+    freqs, keys, n = lat.points, lat.keys, len(lat.points)
+    n_pairs = n * (n - 1) // 2
+    bad = (
+        (freqs[i], freqs[j]) for i, j in combinations(range(n), 2)
+        if table[abs(keys[i] - keys[j])] != "certified"
+    )
+    # the scan for examples runs only when there is one to find
+    kept = BAD_PAIRS_KEPT if counts["certified"] < n_pairs else 0
     return PairMatrixReport(
         n_frequencies=n,
-        n_pairs=n * (n - 1) // 2,
+        n_pairs=n_pairs,
         certified=counts["certified"],
         not_orthogonal=counts["not-orthogonal"],
         undetermined=counts["undetermined"],
-        bad_pairs=tuple(bad),
+        bad_pairs=tuple(islice(bad, kept)),
     )
 
 
@@ -156,13 +220,13 @@ class FamilyReport:
 def rational_grid_1d(max_den: int, lo, hi) -> list:
     """All rationals with denominator <= max_den in [lo, hi], as 1-vectors."""
     lo, hi = Fraction(lo), Fraction(hi)
-    pts = set()
+    den = math.lcm(*range(1, max_den + 1))
+    # keyed and sorted by the exact numerator over the common denominator
+    pts = {}
     for q in range(1, max_den + 1):
-        a0 = math.ceil(lo * q)
-        a1 = math.floor(hi * q)
-        for a in range(a0, a1 + 1):
-            pts.add((Fraction(a, q),))
-    return sorted(pts)
+        for a in range(math.ceil(lo * q), math.floor(hi * q) + 1):
+            pts.setdefault(a * (den // q), (a, q))
+    return [(Fraction(a, q),) for _, (a, q) in sorted(pts.items())]
 
 
 def _max_clique(nodes: int, neighbors) -> list:
@@ -251,25 +315,18 @@ def max_orthogonal_family(
     is certified individually; undetermined pairs count as non-edges and
     downgrade the result to a certified lower bound.
     """
-    grid = [fvec(g) for g in grid]
-    if len(set(grid)) != len(grid):
+    lat = FrequencyLattice(grid)
+    grid, keys = lat.points, lat.keys
+    if len(set(keys)) != len(keys):
         raise ValueError("grid has repeated points")
-    d = sys.dim
     if zeros is None:
         zeros = find_zeros(sys)
-    neighbors = [set() for _ in grid]
     certified = True
     if zeros.complete and not zeros.families:
         method = "difference-set"
-        lo = [min(g[i] for g in grid) - max(g[i] for g in grid) for i in range(d)]
-        hi = [-x for x in lo]
-        hset = _certified_difference_set(sys, zeros, lo, hi)
-        index = {g: i for i, g in enumerate(grid)}
-        for i, g in enumerate(grid):
-            for h in hset:
-                other = index.get(tuple(g[k] + h[k] for k in range(d)))
-                if other is not None:
-                    neighbors[i].add(other)
+        hi = [Fraction(w, lat.den) for w in lat.spans]
+        hset = _certified_difference_set(sys, zeros, [-x for x in hi], hi)
+        neighbors = lat.neighbors(hset)
     else:
         method = "pairwise"
         if len(grid) > PAIRWISE_CAP:
@@ -277,13 +334,13 @@ def max_orthogonal_family(
                 "pairwise certification over %d grid points (cap %d)"
                 % (len(grid), PAIRWISE_CAP)
             )
-        pairs = combinations(range(len(grid)), 2)
-        for i, j, status in pair_statuses(sys, grid, pairs):
-            if status == "certified":
+        table = lat.statuses(sys, lat.differences())
+        certified = "undetermined" not in table.values()
+        neighbors = [set() for _ in grid]
+        for i, j in combinations(range(len(grid)), 2):
+            if table[abs(keys[i] - keys[j])] == "certified":
                 neighbors[i].add(j)
                 neighbors[j].add(i)
-            elif status == "undetermined":
-                certified = False
     clique = _max_clique(len(grid), neighbors)
     return FamilyReport(
         family=tuple(grid[i] for i in clique),

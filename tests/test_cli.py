@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aifs.cli import main
+from aifs.cli import build_parser, main
 
 
 @pytest.fixture
@@ -385,3 +385,23 @@ def test_slowly_contracting_system_is_a_limit(capsys, tmp_path):
     assert rc == 3 and body is None
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("limit:")
+
+
+def test_consecutive_calls_share_no_parser_state(capsys, cantor4_file):
+    assert build_parser() is build_parser()
+    rc, body, _ = run(
+        capsys, "cycles", cantor4_file, "--via", "words", "--max-period", "3"
+    )
+    assert rc == 0 and body["extreme_cycles"]["via"] == "words"
+    # the next call sees the defaults again, not the previous call's flags
+    rc, body, _ = run(capsys, "cycles", cantor4_file)
+    assert rc == 0 and body["extreme_cycles"]["via"] == "box"
+    rc, body, _ = run(capsys, "verify-onb", cantor4_file, "--level", "2")
+    assert rc == 0 and body["command"] == "verify-onb"
+    assert body["verify_onb"]["level"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", cantor4_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, body, _ = run(capsys, "zeros", cantor4_file)
+    assert rc == 0 and body["command"] == "zeros"

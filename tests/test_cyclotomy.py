@@ -164,8 +164,12 @@ def reference_vanishing_sum(weights, phases, q_cap=Q_CAP):
 
 
 _weights = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)])
-_phases = st.builds(
+_fraction_phases = st.builds(
     Fraction, st.integers(-13, 13), st.sampled_from([1, 1, 2, 3, 4, 6, 12])
+)
+#: Fractions, plain ints and strings: the exact inputs vanishing_sum accepts
+_phases = st.one_of(
+    _fraction_phases, st.integers(-3, 3), _fraction_phases.map(str)
 )
 
 
@@ -181,7 +185,7 @@ def root_sums(draw):
     if extra == "cancel":
         turns = draw(st.integers(-2, 2))
         weights = weights + [-w for w in weights]
-        phases = phases + [a + turns for a in phases]
+        phases = phases + [Fraction(a) + turns for a in phases]
     elif extra == "roots":
         q = draw(st.integers(1, 12))
         weights = weights + [draw(_weights)] * q

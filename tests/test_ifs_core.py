@@ -169,3 +169,38 @@ def test_attractor_size_matches_word_count(scale, k):
     s = sys1d(scale, digits)
     cloud = attractor(s, depth=3)
     assert len(cloud.points) == k**3
+
+
+def reference_attractor(sys, depth):
+    """The Fraction cloud the integer Horner step replaced: one ``tau``
+    call per point per level, from the fixed point of the first map."""
+    minus_one = Matrix.identity(sys.dim).scale(-1)
+    pts = [sys.R.add(minus_one).inverse().mat_vec(sys.digits[0])]
+    for _ in range(depth):
+        pts = [sys.tau(i, p) for i in range(sys.n_digits) for p in pts]
+    return pts
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@pytest.mark.parametrize(
+    "r, digits",
+    [
+        ([[4]], [[0], [2]]),
+        ([["5/2"]], [["1/3"], [1], ["-3/4"]]),
+        ([[2, 1], [0, 2]], [[0, 0], [1, 0], [0, 1]]),
+        ([["3/2", "1/2"], [0, 3]], [["1/2", 0], [0, 1]]),
+        (
+            [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ),
+    ],
+)
+def test_integer_cloud_matches_tau_reference(r, digits):
+    s = AffineSystem(
+        R=Matrix(r), digits=tuple(tuple(map(frac, b)) for b in digits)
+    )
+    for depth in range(4):
+        cloud = attractor(s, depth=depth)
+        assert cloud.points == reference_attractor(s, depth)
+        assert all(type(c) is Fraction for p in cloud.points for c in p)
+    assert self_similarity_check(s, depth=2)
