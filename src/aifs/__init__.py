@@ -18,7 +18,6 @@ except PackageNotFoundError:  # running from a source tree
 
 from .errors import (
     AifsError,
-    BorderlineExpansive,
     BudgetExceeded,
     ExactnessUnavailable,
     NotExpansive,
@@ -67,7 +66,6 @@ __all__ = [
     "AffineSystem",
     "AifsError",
     "Analysis",
-    "BorderlineExpansive",
     "BudgetExceeded",
     "DualPair",
     "ExactnessUnavailable",

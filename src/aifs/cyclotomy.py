@@ -53,11 +53,6 @@ def mobius(n: int) -> int:
     return result
 
 
-def totient(n: int) -> int:
-    """Euler's phi as the Moebius sum sum_{d | n} mu(d) n / d."""
-    return sum(mobius(d) * (n // d) for d in divisors(n))
-
-
 def _mul_tm1(poly: list, m: int) -> list:
     """poly * (t^m - 1), ascending coefficients."""
     out = [0] * (len(poly) + m)

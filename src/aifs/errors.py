@@ -13,15 +13,6 @@ class NotExpansive(AifsError):
     """A matrix required to be expansive has an eigenvalue of modulus <= 1."""
 
 
-class BorderlineExpansive(AifsError):
-    """Eigenvalue moduli too close to 1 to decide expansivity numerically.
-
-    Raised instead of guessing when some |eigenvalue| lies within the safety
-    margin of 1 and no exact criterion (rational eigenvalue, root of unity)
-    settles the question.
-    """
-
-
 class ExactnessUnavailable(AifsError):
     """An exact root-of-unity computation exceeded the denominator cap."""
 

@@ -1,12 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (torus orbits, lattice duals, cycle detection) depends
-on arithmetic that never rounds: matrices are tuples of ``Fraction`` rows, and
-one integer Faddeev-LeVerrier pass gives their charpoly, det and inverse.
-Floating point enters only where a quantity is genuinely analytic --
-eigenvalue moduli, operator norms -- and there every comparison carries an
-explicit safety margin. The common razor-edge cases (eigenvalue exactly +-1,
-eigenvalue a root of unity) are decided exactly before any float is consulted.
+on arithmetic that never rounds: matrices are tuples of ``Fraction`` rows;
+one integer Faddeev-LeVerrier pass gives their charpoly, det and inverse,
+and the Schur-Cohn-Jury recursion on that charpoly decides expansiveness.
+Floats enter only through ``Matrix.to_float`` and the 1%-inflated operator
+norms of ``contraction_data``.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ from operator import mul
 
 import numpy as np
 
-from .cyclotomy import cyclotomic, poly_divides, totient
-from .errors import BorderlineExpansive, BudgetExceeded, NotExpansive
+from .errors import BudgetExceeded, NotExpansive
 
 Vec = tuple  # tuple[Fraction, ...]; kept loose so ints pass through helpers
-
-#: below 1 - MARGIN an eigenvalue modulus is treated as certainly subcritical,
-#: above 1 + MARGIN as certainly expansive; anything between is refused.
-EIG_MARGIN = 1e-9
 
 
 def frac(x) -> Fraction:
@@ -200,33 +194,20 @@ class Matrix:
 def check_expansive(m: Matrix) -> bool:
     """Decide whether every eigenvalue of m has modulus > 1.
 
-    Exact criteria run first: a zero determinant, or a root-of-unity
-    eigenvalue (a cyclotomic factor Phi_q of the characteristic polynomial,
-    integer or rational; only orders with totient <= n can occur, and +-1
-    are the orders q = 1, 2 of the same scan). What remains is decided by
-    numpy eigenvalues with a safety margin; moduli inside the margin raise
-    BorderlineExpansive rather than guessing.
+    Read ascending, charpoly (1, c_1, ..., c_n) is p(t) = t^n chi(1/t), whose
+    roots are the inverse eigenvalues: m is expansive exactly when p has
+    degree n (det m != 0) and all its roots lie strictly inside |t| = 1.
+    Schur-Cohn-Jury theorem (Jury, *Theory and Application of the z-Transform
+    Method*, 1964; Marden, *Geometry of Polynomials*, 1966): a real
+    p = a_0 + ... + a_n t^n of degree n >= 1, with reversal p* = t^n p(1/t),
+    has all roots strictly inside |t| = 1 if and only if |a_n| > |a_0| and
+    q = (a_n p - a_0 p*) / t, of degree n - 1, has too; a constant has none.
+    Each step is exact over Q, and a tie or a_n = 0 (det m = 0) fails it.
     """
-    cp = m.charpoly()
-    if cp[-1] == 0:  # zero determinant
-        return False
-    # Phi_q is monic and primitive, so by Gauss's lemma it divides cp in Q[t]
-    # exactly when it divides the integer polynomial den * cp in Z[t]
-    den = lcm(*[c.denominator for c in cp])
-    ipoly = [int(c * den) for c in reversed(cp)]  # ascending order
-    # phi(q) >= sqrt(q / 2), so no order past 2n^2 + 2 has totient <= n
-    for q in range(1, 2 * m.n * m.n + 3):
-        if totient(q) <= m.n and poly_divides(cyclotomic(q), ipoly):
-            return False
-    moduli = np.abs(np.linalg.eigvals(m.to_float()))
-    if moduli.min() >= 1.0 + EIG_MARGIN:
-        return True
-    if (moduli <= 1.0 - EIG_MARGIN).any():
-        return False
-    raise BorderlineExpansive(
-        "eigenvalue moduli %s are within %g of the unit circle and no exact "
-        "criterion applies" % (np.sort(moduli).tolist(), EIG_MARGIN)
-    )
+    p = m.charpoly()
+    while len(p) > 1 and abs(p[-1]) > abs(p[0]):
+        p = [p[-1] * x - p[0] * y for x, y in zip(p[1:], p[-2::-1])]
+    return len(p) == 1
 
 
 def ensure_expansive(m: Matrix) -> None:

@@ -387,6 +387,17 @@ def test_slowly_contracting_system_is_a_limit(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("limit:")
 
 
+def test_unit_modulus_rotation_is_not_expansive(capsys, tmp_path):
+    # the 3-4-5 rotation has both eigenvalue moduli exactly 1: an exact
+    # NotExpansive verdict, which the CLI reports as a usage error
+    path = tmp_path / "rotation.json"
+    path.write_text('{"matrix": [["3/5", "-4/5"], ["4/5", "3/5"]], '
+                    '"digits": [[0, 0], [1, 0]]}')
+    rc, body, err = run(capsys, "zeros", str(path))
+    assert rc == 2 and body is None
+    assert err.strip() == "error: R must have all eigenvalue moduli > 1"
+
+
 def test_consecutive_calls_share_no_parser_state(capsys, cantor4_file):
     assert build_parser() is build_parser()
     rc, body, _ = run(

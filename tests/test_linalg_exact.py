@@ -1,15 +1,15 @@
 """Exact matrix arithmetic and expansivity certification."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aifs.cyclotomy import cyclotomic, poly_divides, totient
-from aifs.errors import BorderlineExpansive, BudgetExceeded, NotExpansive
+from aifs.cyclotomy import cyclotomic, poly_divides
+from aifs.errors import BudgetExceeded, NotExpansive
 from aifs.linalg_exact import (
-    EIG_MARGIN,
     Matrix,
     check_expansive,
     contraction_data,
@@ -82,12 +82,11 @@ def test_singular_rejected():
     assert not check_expansive(M([[0, 0], [0, 2]]))
 
 
-def test_borderline_unit_modulus_raises():
+def test_unit_modulus_rotation_is_not_expansive():
     # the 3-4-5 rotation has eigenvalues (3 +- 4i)/5 of modulus exactly 1
-    # that are not roots of unity (denominator 5: not algebraic integers),
-    # so the exact pre-checks pass and the float margin must refuse
-    with pytest.raises(BorderlineExpansive):
-        check_expansive(M([["3/5", "-4/5"], ["4/5", "3/5"]]))
+    # that are not roots of unity (denominator 5: not algebraic integers);
+    # no float margin can tell them from 1, the exact recursion decides
+    assert check_expansive(M([["3/5", "-4/5"], ["4/5", "3/5"]])) is False
 
 
 def test_contraction_data_certifies_norm_decay():
@@ -227,6 +226,17 @@ def test_leverrier_matches_elimination_references(m):
 
 # ------------------------------------------- expansivity reference
 
+#: the reference's float margin: moduli within it of 1 are refused
+REFERENCE_MARGIN = 1e-9
+
+
+class ReferenceRefused(Exception):
+    """The reference's float margin cannot decide the moduli."""
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
 
 def reference_check_expansive(m):
     """The earlier check: eigenvalues +-1 from the coefficient sums, the
@@ -245,11 +255,11 @@ def reference_check_expansive(m):
             if totient(q) <= m.n and poly_divides(cyclotomic(q), ipoly):
                 return False
     moduli = np.abs(np.linalg.eigvals(m.to_float()))
-    if moduli.min() >= 1.0 + EIG_MARGIN:
+    if moduli.min() >= 1.0 + REFERENCE_MARGIN:
         return True
-    if (moduli <= 1.0 - EIG_MARGIN).any():
+    if (moduli <= 1.0 - REFERENCE_MARGIN).any():
         return False
-    raise BorderlineExpansive("moduli within the margin")
+    raise ReferenceRefused("moduli within the margin")
 
 
 _expansivity_entries = st.one_of(
@@ -285,20 +295,55 @@ def small_matrices(draw):
 def test_check_expansive_matches_reference(m):
     try:
         want = reference_check_expansive(m)
-    except BorderlineExpansive:
-        # the exact scan may now decide what the float margin refused, and
-        # a root of unity can only ever make the answer False
-        try:
-            assert check_expansive(m) is False
-        except BorderlineExpansive:
-            pass
+    except ReferenceRefused:
+        # a modulus within the margin of 1 is, for these small entries, a
+        # modulus exactly 1, which the exact recursion must reject
+        assert check_expansive(m) is False
         return
     assert check_expansive(m) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**12),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5])),
+    st.lists(st.sampled_from([0, 1, -2, Fraction(1, 3), Fraction(-5, 7)]),
+             min_size=3, max_size=3),
+)
+@example(2, 1, 1, 10**12, Fraction(3), [0, 0, 0])
+@example(2, 1, -1, 10**12, Fraction(3), [0, 0, 0])
+def test_check_expansive_matches_modulus_oracle(a, b, sign, k, c2, upper):
+    # R = P diag(c1 Q, c2) P^-1 with Q the rotation of the Pythagorean triple
+    # (a^2 - b^2, 2ab, a^2 + b^2), so the moduli are |c1| (twice) and |c2|;
+    # at c1 = 1 +- 1/k no float margin separates them from 1
+    c1 = 1 + Fraction(sign, k)
+    h = a * a + b * b
+    cos, sin = c1 * Fraction(a * a - b * b, h), c1 * Fraction(2 * a * b, h)
+    block = M([[cos, -sin, 0], [sin, cos, 0], [0, 0, c2]])
+    u, v, w = upper
+    p = M([[1, u, v], [0, 1, w], [0, 0, 1]])
+    r = p @ block @ p.inverse()
+    assert check_expansive(r) is (min(abs(c1), abs(c2)) > 1)
+
+
+def test_lehmer_companion_matrix_is_not_expansive():
+    # Lehmer's polynomial t^10 + t^9 - t^7 - t^6 - t^5 - t^4 - t^3 + t + 1
+    # has eight roots on the unit circle that are not roots of unity, besides
+    # Lehmer's number 1.17628... and its inverse
+    coeffs = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1]  # c_0 .. c_9, ascending
+    companion = [[int(i == j + 1) for j in range(9)] + [-coeffs[i]]
+                 for i in range(10)]
+    m = M(companion)
+    assert m.charpoly() == tuple(Fraction(c) for c in [1] + coeffs[::-1])
+    assert check_expansive(m) is False
+
+
 def test_rational_matrix_with_fourth_roots_of_unity_is_rejected_exactly():
     # eigenvalues +-i and 5/2: the characteristic polynomial
-    # (t^2 + 1)(t - 5/2) is not integral, but Phi_4 divides 2 * it
+    # (t^2 + 1)(t - 5/2) is not integral
     assert check_expansive(M([[0, -1, 0], [1, 0, 0], [0, 0, "5/2"]])) is False
 
 
