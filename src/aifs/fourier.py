@@ -50,8 +50,8 @@ def eval_symbol(sys: AffineSystem, x, den: int = 1) -> SymbolValue:
     the reduced fraction."""
     res, m = _phase_residues(sys, x, den)
     val = sum(
-        complex(w) * cmath.exp(2j * math.pi * (r / m))
-        for w, r in zip(sys.weights, res)
+        w * cmath.exp(2j * math.pi * (r / m))
+        for w, r in zip(sys.complex_weights, res)
     )
     if abs(val) > ZERO_PREFILTER:
         return SymbolValue(val, False, True)

@@ -110,6 +110,10 @@ class AffineSystem:
         return contraction_data(self.r_inverse.to_float())
 
     @cached_property
+    def complex_weights(self) -> tuple:
+        return tuple(map(complex, self.weights))
+
+    @cached_property
     def symbol_lipschitz(self) -> float:
         """theta = 2 pi sum_b w_b |b|, which bounds |m(y) - 1| <= theta |y|."""
         return 2.0 * math.pi * sum(

@@ -69,6 +69,22 @@ def test_check_hadamard_rejects_bad_pair(capsys, bad_pair_file):
     assert body["hadamard"]["defect"] > 0.5
 
 
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+def test_check_hadamard_rotates_out_a_phase_over_the_cap(capsys, tmp_path):
+    # R^{-1}B = {x, x + 1/2} with x = 1/2000006: the phase denominator is
+    # over Q_CAP, but e(x) + e(x + 1/2) = 0 exactly
+    doc = {
+        "matrix": [["2"]],
+        "digits": [["1/1000003"], ["1000004/1000003"]],
+        "frequencies": [["0"], ["1"]],
+    }
+    path = tmp_path / "big_phase.json"
+    path.write_text(json.dumps(doc))
+    rc, body, _ = run(capsys, "check-hadamard", str(path))
+    assert rc == 0
+    assert body["hadamard"]["certified"] is True
+
+
 def test_check_hadamard_requires_frequencies(capsys, tmp_path):
     path = tmp_path / "nofreq.json"
     path.write_text(json.dumps({"matrix": [["4"]], "digits": [["0"], ["2"]]}))

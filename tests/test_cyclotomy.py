@@ -1,5 +1,6 @@
-"""Exact vanishing-sum certificates through cyclotomic divisibility."""
+"""Exact vanishing-sum certificates, checked against cyclotomic divisibility."""
 
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,10 +13,26 @@ from aifs.cyclotomy import (
     cyclotomic,
     divisors,
     mobius,
-    poly_divides,
     vanishing_sum,
 )
 from aifs.errors import ExactnessUnavailable
+
+
+def poly_divides(f, g) -> bool:
+    """Whether monic integer polynomial f divides integer polynomial g."""
+    f = list(f)
+    if not f or f[-1] != 1:
+        raise ValueError("divisor must be monic")
+    r = list(g)
+    df = len(f) - 1
+    while len(r) - 1 >= df:
+        c = r[-1]
+        if c:
+            off = len(r) - 1 - df
+            for i in range(df + 1):
+                r[off + i] -= c * f[i]
+        r.pop()
+    return not any(r)
 
 
 def test_divisors_and_mobius():
@@ -89,6 +106,16 @@ def test_cap_raises_exactness_unavailable():
         vanishing_sum(
             [1, 1], [Fraction(0), Fraction(1, 2)], q_cap=1
         )
+    with pytest.raises(ExactnessUnavailable):
+        vanishing_sum([1, 1], [Fraction(1, 3), Fraction(1, 1000003)])
+
+
+def test_common_phase_rotated_out_before_the_cap():
+    # x = 1/2000006 puts q over Q_CAP; rotating out e(x) leaves q = 2 or 3
+    a = Fraction(1, 2 * 1000003)
+    assert vanishing_sum([1, 1], [a, a + Fraction(1, 2)])
+    assert not vanishing_sum([1, 1], [a, a + Fraction(1, 3)])
+    assert vanishing_sum([1, 1, 1], [a, a + Fraction(1, 3), a + Fraction(2, 3)])
 
 
 def test_integer_phases_reduce_to_constant():
@@ -125,9 +152,10 @@ def test_rotating_a_vanishing_sum_keeps_it_vanishing(q, shift):
 
 
 def reference_vanishing_sum(weights, phases, q_cap=Q_CAP):
-    """The earlier vanishing_sum, with early returns for no terms, for
-    terms that all cancel and for q = 1: the reference the single
-    Phi_q divisibility test must reproduce."""
+    """The dense route: the sum is zero exactly when Phi_q divides the
+    length-q integer polynomial of its coefficients (with early returns for
+    no terms, for terms that all cancel and for q = 1). The reference the
+    sparse prime-by-prime decision must reproduce."""
     acc, qs, terms = {}, [1], []
     for w, a in zip(weights, phases, strict=True):
         w = Fraction(w)
@@ -205,3 +233,87 @@ def test_degenerate_sums_decided_by_the_general_path():
     assert vanishing_sum([1, -1], [Fraction(1, 3), Fraction(4, 3)])
     assert vanishing_sum([2, -1, -1], [Fraction(0), Fraction(5), Fraction(-2)])
     assert not vanishing_sum([1, 2], [Fraction(7), Fraction(0)])
+
+
+def _factor(q):
+    """{prime: exponent} for q >= 2, by trial division."""
+    out, p = {}, 2
+    while p * p <= q:
+        while q % p == 0:
+            out[p] = out.get(p, 0) + 1
+            q //= p
+        p += 1
+    if q > 1:
+        out[q] = out.get(q, 0) + 1
+    return out
+
+
+_FACTORED = {q: _factor(q) for q in range(2, 2001)}
+#: moduli up to 2000 by shape: a prime meets only the q = p base, other
+#: prime powers the p^2 | q reduction, squarefree q the p || q one, mixed
+#: q both
+_MODULI = {
+    "prime": [q for q, f in _FACTORED.items() if list(f.values()) == [1]],
+    "prime power": [
+        q for q, f in _FACTORED.items() if len(f) == 1 and max(f.values()) > 1
+    ],
+    "squarefree": [
+        q for q, f in _FACTORED.items() if len(f) > 1 and max(f.values()) == 1
+    ],
+    "mixed": [
+        q for q, f in _FACTORED.items() if len(f) > 1 and max(f.values()) > 1
+    ],
+}
+
+
+@st.composite
+def coset_sums(draw):
+    """(weights, phases, perturbed): an integer combination of rotated
+    p-coset sums sum_j e(s / q + j / p) over primes p | q, which generate
+    every vanishing sum over q-th roots (de Bruijn 1953; Lam and Leung
+    2000), and, when perturbed, one or two stray terms: a new term, or the
+    negation of a term already there."""
+    kind = draw(st.sampled_from(sorted(_MODULI)))
+    q = draw(st.sampled_from(_MODULI[kind]))
+    primes = sorted(_FACTORED[q])
+    weights, phases = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from(primes))
+        s = draw(st.integers(0, q - 1))
+        weights += [draw(st.sampled_from([1, -1, 2, -3]))] * p
+        phases += [Fraction(s + j * (q // p), q) for j in range(p)]
+    perturbed = draw(st.booleans())
+    if perturbed:
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                i = draw(st.integers(0, len(weights) - 1))
+                weights.append(-weights[i])
+                phases.append(phases[i])
+            else:
+                weights.append(draw(st.sampled_from([1, -1, 2])))
+                phases.append(Fraction(draw(st.integers(0, q - 1)), q))
+    return weights, phases, perturbed
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_sums())
+def test_sparse_decision_matches_dense_reference(case):
+    weights, phases, perturbed = case
+    zero = vanishing_sum(weights, phases)
+    assert zero == reference_vanishing_sum(weights, phases)
+    assert zero or perturbed
+
+
+def test_large_moduli_decided_in_time():
+    # four terms with one exponent near q: a dense division by Phi_q takes
+    # seconds at q = 30030 and about half an hour at q = 510510
+    start = time.perf_counter()
+    for q in (30030, 510510):
+        near = Fraction(q - 1, q)
+        assert vanishing_sum(
+            [1, 1, 1, 1], [Fraction(0), Fraction(1, 2), near, near + Fraction(1, 2)]
+        )
+        assert not vanishing_sum(
+            [1, 1, 1, 1], [Fraction(0), Fraction(1, 3), near, Fraction(1, 5)]
+        )
+    assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 """System construction, attractors, and the self-similarity identity."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aifs.errors import NotExpansive
+from aifs.fourier import _phase_residues, eval_symbol
 from aifs.ifs_core import (
     AffineSystem,
     attractor,
@@ -108,6 +110,25 @@ def test_symbol_lipschitz_is_cached_and_bit_identical():
     assert "symbol_lipschitz" not in sys.__dict__
     assert sys.symbol_lipschitz == theta
     assert sys.symbol_lipschitz is sys.symbol_lipschitz
+
+
+def test_complex_weights_are_cached_and_symbol_values_bit_identical():
+    sys = AffineSystem(
+        R=Matrix([[frac(3), frac(1)], [frac(0), frac(3)]]),
+        digits=((0, 0), (1, 0), (0, 2)),
+        weights=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    )
+    assert "complex_weights" not in sys.__dict__
+    assert sys.complex_weights == tuple(complex(w) for w in sys.weights)
+    assert sys.complex_weights is sys.complex_weights
+    for x, den in [((1, 2), 7), ((Fraction(1, 3), Fraction(-2, 5)), 1), ((5, 1), 9)]:
+        res, m = _phase_residues(sys, x, den)
+        # the expression eval_symbol evaluated on every call before
+        val = sum(
+            complex(w) * cmath.exp(2j * math.pi * (r / m))
+            for w, r in zip(sys.weights, res)
+        )
+        assert eval_symbol(sys, x, den).value == val
 
 
 def test_attractor_within_bounding_box():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aifs.cyclotomy import cyclotomic, poly_divides
+from aifs.cyclotomy import cyclotomic
 from aifs.errors import BudgetExceeded, NotExpansive
 from aifs.linalg_exact import (
     Matrix,
@@ -18,6 +18,7 @@ from aifs.linalg_exact import (
     fvec,
     vec_dot,
 )
+from test_cyclotomy import poly_divides
 
 import numpy as np
 
