@@ -239,7 +239,7 @@ def _chk_q_range(an: Analysis, spec: dict):
 @_register("family_size")
 def _chk_family_size(an: Analysis, spec: dict):
     grid = rational_grid_1d(spec["max_den"], spec["lo"], spec["hi"])
-    rep = max_orthogonal_family(an.sys, grid)
+    rep = max_orthogonal_family(an.sys, grid, an.zeros)
     ok = rep.size == spec["expect"] and rep.certified_maximum
     return ok, {
         "size": rep.size,

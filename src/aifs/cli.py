@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
              "evaluate the measure transform with certified error")
     sp.add_argument("system")
     sp.add_argument("--x", required=True, help='point, e.g. "1/3,2/5"')
-    sp.add_argument("--max-terms", type=int, default=64)
+    sp.add_argument("--max-terms", type=_int_at_least(1), default=64)
     sp.add_argument("--tail", type=float, default=1e-12)
 
     sp = add("zeros", _cmd_zeros, "zero set of the symbol on the torus")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
              "orbit of a point under the transposed integer action")
     sp.add_argument("system")
     sp.add_argument("--x", required=True)
-    sp.add_argument("--max-iter", type=int, default=100_000)
+    sp.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
 
     sp = add("bound", _cmd_bound,
              "bound the size of mutually orthogonal exponential families")

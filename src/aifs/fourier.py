@@ -38,7 +38,7 @@ class SymbolValue:
 
 def _phase_residues(sys: AffineSystem, x, den: int) -> tuple:
     """(r, M): the phases b.(x / den) mod 1 as integer residues r_b / M."""
-    num, den = lattice_numerators(x, den)
+    num, den = lattice_numerators(x, sys.dim, den)
     c, digits = sys.integer_digits
     return [r % (c * den) for r in int_mat_vec(digits, num)], c * den
 
@@ -121,7 +121,7 @@ def factor_chain(sys: AffineSystem, x, terms: int, den: int = 1):
     (Y_n = A Y_{n-1}, D_n = e D_{n-1} for S^{-1} = A / e), and the
     ``truncation_tail`` bound tail_n on how far the factors past n move
     the product from 1."""
-    y, den = lattice_numerators(x, den)
+    y, den = lattice_numerators(x, sys.dim, den)
     tail_at = truncation_tail(sys, math.hypot(*[v / den for v in y]) or 1.0)
     e, a = sys.integer_s_inverse
     for n in range(1, terms + 1):
@@ -179,7 +179,7 @@ def mu_hat_grid(sys: AffineSystem, xs: np.ndarray) -> tuple:
     sinv_t = sys.s_inverse.to_float().T
     bmat = np.array([[float(c) for c in d] for d in sys.digits])
     wvec = np.array([float(w) for w in sys.weights])
-    tail_at = truncation_tail(sys, max(float(np.linalg.norm(xs, axis=1).max()), 1.0))
+    tail_at = truncation_tail(sys, float(np.linalg.norm(xs, axis=1).max(initial=1.0)))
     vals = np.ones(len(xs), dtype=complex)
     y = xs
     for n in range(1, policy.max_terms + 1):

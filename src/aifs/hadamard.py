@@ -51,6 +51,8 @@ def check_hadamard(r: Matrix, b_digits, l_digits) -> HadamardTriple:
     """
     b_digits = tuple(fvec(b) for b in b_digits)
     l_digits = tuple(fvec(l) for l in l_digits)
+    if any(len(v) != r.n for v in b_digits + l_digits):
+        raise ValueError("dimension mismatch")
     if len(b_digits) != len(l_digits):
         raise ValueError(
             "digit and frequency sets must have equal size (%d vs %d)"

@@ -206,7 +206,7 @@ def attractor(
         # fixed point of tau_0 solves (R - I) x = b_0
         minus_one = Matrix.identity(sys.dim).scale(-1)
         x, den = lattice_numerators(
-            sys.R.add(minus_one).inverse().mat_vec(sys.digits[0])
+            sys.R.add(minus_one).inverse().mat_vec(sys.digits[0]), sys.dim
         )
         # one denominator per level: with x = X / den, R^{-1} = A / e and
         # b = B / c, tau_b(x) = A (c X + den B) / (e c den)

@@ -65,8 +65,12 @@ def int_mat_vec(rows, v) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in rows)
 
 
-def lattice_numerators(x, den: int = 1) -> tuple:
-    """(N, D) with integer N and x / den = N / D; integer x passes through."""
+def lattice_numerators(x, dim: int, den: int = 1) -> tuple:
+    """(N, D) with integer N and x / den = N / D for x in Q^dim, the one way
+    into the exact symbol, transform and pair kernels: another length raises
+    ValueError, integer x passes through, the rest goes through ``frac``."""
+    if len(x) != dim:
+        raise ValueError("dimension mismatch")
     if all(type(v) is int for v in x):
         return tuple(x), den
     k, (num,) = integer_rows([fvec(x)])

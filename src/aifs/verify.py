@@ -22,9 +22,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations, islice
-from operator import sub
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .cycles_spectrum import (
 from .errors import AifsError, BudgetExceeded
 from .fourier import eval_symbol, factor_chain, mu_hat_grid
 from .ifs_core import AffineSystem, simplex_system
-from .linalg_exact import Matrix, frac, fvec, integer_rows, vec_add, vec_sub
+from .linalg_exact import Matrix, fvec, integer_rows, lattice_numerators, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros
 
 Vec = tuple
@@ -46,8 +45,6 @@ Vec = tuple
 
 @dataclass(frozen=True)
 class OrthogonalityCertificate:
-    lam: Vec
-    lam_prime: Vec
     status: str  # "certified" | "not-orthogonal" | "undetermined"
     vanishing_index: int | None = None
     zero_point: Vec | None = None
@@ -75,26 +72,22 @@ def orthogonal_pair(
     pair is certifiedly NOT orthogonal. Anything else is undetermined
     (PAIR_DEPTH or an exactness cap was hit).
     """
-    lam, lam_prime = (
-        tuple(v if type(v) is int else frac(v) for v in x) for x in (lam, lam_prime)
-    )
-    delta = tuple(map(sub, lam, lam_prime))
+    a, da = lattice_numerators(lam, sys.dim, den)
+    b, db = lattice_numerators(lam_prime, sys.dim, den)
+    k = math.lcm(da, db)  # lam - lam' = delta / k
+    delta = tuple(k // da * u - k // db * v for u, v in zip(a, b))
     if not any(delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
-    cert = partial(OrthogonalityCertificate, _exact(lam, den), _exact(lam_prime, den))
     all_factors_certified = True
-    for n, y, y_den, sv, tail in factor_chain(sys, delta, PAIR_DEPTH, den):
+    for n, y, y_den, sv, tail in factor_chain(sys, delta, PAIR_DEPTH, k):
         if sv.is_zero:
-            return cert("certified", n, _exact(y, y_den))
+            zero = tuple(Fraction(v, y_den) for v in y)
+            return OrthogonalityCertificate("certified", n, zero)
         all_factors_certified = all_factors_certified and sv.certified
         # the product of the factors past n is within 0.999 of 1: not zero
         if all_factors_certified and tail < 0.999:
-            return cert("not-orthogonal")
-    return cert("undetermined")
-
-
-def _exact(vec, den: int) -> Vec:
-    return tuple(Fraction(v, den) for v in vec)
+            return OrthogonalityCertificate("not-orthogonal")
+    return OrthogonalityCertificate("undetermined")
 
 
 class FrequencyLattice:
@@ -113,6 +106,8 @@ class FrequencyLattice:
     def __init__(self, points):
         self.points = [fvec(p) for p in points]
         self.den, nums = integer_rows(self.points)
+        if len(set(map(len, nums))) > 1:
+            raise ValueError("dimension mismatch")
         self.spans = [max(c) - min(c) for c in zip(*nums)]
         self.base = 2 * max(self.spans, default=0) + 1
         self.keys = list(map(self._pack, nums))
@@ -317,6 +312,8 @@ def max_orthogonal_family(
     """
     lat = FrequencyLattice(grid)
     grid, keys = lat.points, lat.keys
+    if any(len(g) != sys.dim for g in grid):
+        raise ValueError("dimension mismatch")
     if len(set(keys)) != len(keys):
         raise ValueError("grid has repeated points")
     if zeros is None:
@@ -409,9 +406,10 @@ def completeness_q(
     points. For an orthonormal family Q <= 1 everywhere (Bessel), with
     equality iff the family is complete; values must stay within truncation
     error of that ceiling."""
-    lam = np.array(
-        [[float(c) for c in f] for f in (fvec(f) for f in frequencies)]
-    )
+    freqs = [fvec(f) for f in frequencies]
+    if any(len(f) != sys.dim for f in freqs):
+        raise ValueError("dimension mismatch")
+    lam = np.array(freqs, dtype=float).reshape(len(freqs), sys.dim)
     if points is None:
         points = halton_points(samples, sys.dim)
     else:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aifs import verify
 from aifs.catalog import (
     collinear_spectrum_digits,
     entry_names,
@@ -15,6 +16,7 @@ from aifs.catalog import (
     simplex_system,
 )
 from aifs.errors import AifsError
+from aifs.torus_dynamics import find_zeros
 
 EXPECTED_NAMES = [
     "cantor4",
@@ -121,3 +123,16 @@ def test_collinear_spectrum_digits():
     )
     with pytest.raises(ValueError):
         collinear_spectrum_digits(7, 2)
+
+
+def test_entry_searches_its_zeros_once(monkeypatch):
+    # d1-p3 reads the zero set in its zeros and family_size checks
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return find_zeros(sys)
+
+    monkeypatch.setattr(verify, "find_zeros", counted)
+    assert run_entry("d1-p3").ok
+    assert len(calls) == 1

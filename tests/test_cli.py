@@ -363,6 +363,8 @@ def test_malformed_frequency_names_its_field(capsys, tmp_path):
         ["dn", "--p", "3", "--d", "0"],
         ["dn", "--p", "1", "--d", "2"],
         ["dn", "--p", "x", "--d", "2"],
+        ["mu-hat", "SYS", "--x", "1/3", "--max-terms", "0"],
+        ["orbit", "SYS", "--x", "1/3", "--max-iter", "0"],
     ],
 )
 def test_out_of_range_counts_are_rejected_by_the_parser(capsys, cantor4_file, argv):
@@ -432,3 +434,41 @@ def test_consecutive_calls_share_no_parser_state(capsys, cantor4_file):
     capsys.readouterr()
     rc, body, _ = run(capsys, "zeros", cantor4_file)
     assert rc == 0 and body["command"] == "zeros"
+
+
+def write_system(tmp_path, doc):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("x", ["1/3", "1/3,1/5,1/7"])
+def test_mu_hat_refuses_a_point_of_the_wrong_dimension(capsys, tmp_path, x):
+    path = write_system(tmp_path, {
+        "matrix": [[3, 0], [0, 3]], "digits": [[0, 0], [1, 0], [0, 1]],
+    })
+    rc, body, err = run(capsys, "mu-hat", path, "--x", x)
+    assert rc == 2 and body is None
+    assert err.strip() == "error: dimension mismatch"
+
+
+def test_check_hadamard_refuses_frequencies_of_the_wrong_dimension(capsys, tmp_path):
+    path = write_system(tmp_path, {
+        "matrix": [[2, 0], [0, 2]], "digits": [[0, 0], [1, 0]],
+        "frequencies": [[0], [1]],
+    })
+    rc, body, err = run(capsys, "check-hadamard", path)
+    assert rc == 2 and body is None
+    assert err.strip() == "error: dimension mismatch"
+
+
+def test_verify_onb_on_an_empty_spectrum(capsys, tmp_path):
+    # no extreme cycles, so no frequencies: nothing to pair, and Q = 0
+    path = write_system(tmp_path, {
+        "matrix": [[3]], "digits": [[0], [1]], "frequencies": [[1], [3]],
+    })
+    rc, body, _ = run(capsys, "verify-onb", path, "--level", "2")
+    assert rc == 0
+    rep = body["verify_onb"]
+    assert rep["size"] == rep["pairs"] == 0
+    assert rep["q_min"] == rep["q_max"] == 0.0

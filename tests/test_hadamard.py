@@ -53,6 +53,21 @@ def test_size_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "r, digits, freqs",
+    [
+        (CANTOR4.R, CANTOR4.digits, [(), ()]),
+        (CANTOR4.R, CANTOR4.digits, [(0, 0), (1, 0)]),
+        (Matrix([[2, 0], [0, 2]]), [(0, 0), (1, 0)], [(0,), (1,)]),
+        (Matrix([[2, 0], [0, 2]]), [(0, 0), (1, 0)], [(0, 0, 0), (1, 0, 0)]),
+    ],
+    ids=["1d-short", "1d-long", "2d-short", "2d-long"],
+)
+def test_frequencies_of_the_wrong_dimension_rejected(r, digits, freqs):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_hadamard(r, digits, freqs)
+
+
 def test_duplicate_frequencies_rejected():
     with pytest.raises(ValueError):
         check_hadamard(CANTOR4.R, CANTOR4.digits, ((frac(0),), (frac(0),)))

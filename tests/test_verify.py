@@ -20,6 +20,7 @@ from aifs.fourier import (
     SymbolValue,
     TruncationPolicy,
     eval_mu_hat,
+    eval_symbol,
     mu_hat_grid,
     truncation_tail,
 )
@@ -656,3 +657,60 @@ def test_period_two_cycle_spectrum_is_orthogonal():
     assert spectrum.size == 64
     rep = certify_all_pairs(s, spectrum.elements)
     assert rep.n_pairs == rep.certified == 2016
+
+
+# ---------------------------------------------------------------- dimensions
+
+F = Fraction
+#: a point too short and one too long, for a 1-D and a 2-D system (d2-p3)
+WRONG_DIMENSION = [
+    (CANTOR4, ()),
+    (CANTOR4, (F(1, 3), F(1, 5))),
+    (simplex_system(3, 2), (F(1, 3),)),
+    (simplex_system(3, 2), (F(1, 3), F(1, 5), F(1, 7))),
+]
+
+#: each entry point fed the point x, or a list of multiples of it
+DIMENSION_CALLS = {
+    "eval_symbol": eval_symbol,
+    "eval_mu_hat": eval_mu_hat,
+    "orthogonal_pair": lambda s, x: orthogonal_pair(s, x, (0,) * s.dim),
+    "orthogonal_pair_both": lambda s, x: orthogonal_pair(s, x, (0,) * len(x)),
+    "certify_all_pairs": lambda s, x: certify_all_pairs(
+        s, [tuple(k * c for c in x) for k in range(3)]
+    ),
+    "max_orthogonal_family": lambda s, x: max_orthogonal_family(
+        s, [tuple(k * c for c in x) for k in range(3)]
+    ),
+    "completeness_q": lambda s, x: completeness_q(s, [x], samples=2),
+}
+
+
+@pytest.mark.parametrize("call", sorted(DIMENSION_CALLS))
+@pytest.mark.parametrize(
+    "system, x", WRONG_DIMENSION, ids=["1d-short", "1d-long", "2d-short", "2d-long"]
+)
+def test_entry_points_refuse_a_point_of_the_wrong_dimension(call, system, x):
+    # map and zip stop at the shorter input, so an unchecked point of the
+    # wrong length would be read as a truncated one
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DIMENSION_CALLS[call](system, x)
+
+
+def test_frequency_lattice_refuses_a_ragged_point_list():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify.FrequencyLattice([(0, 0), (1,), (2, 1)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        certify_all_pairs(simplex_system(3, 2), [(0, 0), (1, 0, 0)])
+
+
+def test_empty_spectrum_has_no_pairs_and_parseval_sum_zero():
+    # R = 3, B = {0, 1}, L = {1, 3} has no extreme cycles, so its spectrum
+    # is empty, and an empty family has Q identically 0
+    s = sys1d(3, [0, 1])
+    spectrum = Analysis(s, ((F(1),), (F(3),))).spectrum(2)
+    assert spectrum.size == 0
+    assert certify_all_pairs(s, spectrum.elements).n_pairs == 0
+    q = completeness_q(s, spectrum.elements, samples=4)
+    assert q.q_values == (0.0,) * 4
+    assert q.q_min == q.q_max == q.error_bound == 0.0
