@@ -199,6 +199,8 @@ def normalization_residual(sys_b: AffineSystem, sys_l: AffineSystem, x) -> float
     dual system (R^T, L). Identically zero exactly when the digit matrix is
     unitary (the transfer operator fixes the constant 1). A float diagnostic:
     x is taken to floats and the symbol evaluated by ``eval_symbol_float``."""
+    if len(x) != sys_b.dim:
+        raise ValueError("dimension mismatch")
     rinv = sys_l.r_inverse.to_float()
     xf = np.asarray([float(c) for c in x])
     total = sum(

@@ -106,8 +106,8 @@ class AffineSystem:
     @cached_property
     def contraction(self) -> tuple:
         """Contraction data (C, c) of R^{-1}; (R^T)^{-1} has the same
-        singular values, so they bound S^{-n} as well."""
-        return contraction_data(self.r_inverse.to_float())
+        norm (``contraction_data``), so they bound S^{-n} as well."""
+        return contraction_data(self.r_inverse)
 
     @cached_property
     def complex_weights(self) -> tuple:
@@ -151,17 +151,15 @@ def simplex_system(p: int, d: int, name: str = "") -> AffineSystem:
 
 
 def bounding_box(sys: AffineSystem) -> tuple:
-    """A closed cube [-r, r]^d certified (up to the 1% norm inflation) to
-    contain the attractor.
+    """The closed cube [-r, r]^d, r = C c / (1 - c) max_b |b|_inf an exact
+    Fraction, that contains the attractor.
 
-    Every attractor point is sum_{k>=1} R^{-k} b_k, so its norm is at most
-    C*c/(1-c) * max_b |b| with (C, c) the contraction data of R^{-1}.
+    Every attractor point is sum_{k>=1} R^{-k} b_k, and the contraction data
+    (C, c) of R^{-1} bound every ||R^{-k}||_inf by C c^k; the floats C and c
+    convert to Fractions exactly.
     """
-    big_c, c = sys.contraction
-    bmax = max(
-        float(np.linalg.norm([float(x) for x in b])) for b in sys.digits
-    )
-    r = big_c * c / (1.0 - c) * bmax * 1.01
+    big_c, c = map(Fraction, sys.contraction)
+    r = big_c * c / (1 - c) * max(abs(x) for b in sys.digits for x in b)
     return (-r,) * sys.dim, (r,) * sys.dim
 
 

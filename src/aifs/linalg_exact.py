@@ -4,14 +4,14 @@ Everything downstream (torus orbits, lattice duals, cycle detection) depends
 on arithmetic that never rounds: matrices are tuples of ``Fraction`` rows;
 one integer Faddeev-LeVerrier pass gives their charpoly, det and inverse,
 and the Schur-Cohn-Jury recursion on that charpoly decides expansiveness.
-Floats enter only through ``Matrix.to_float`` and the 1%-inflated operator
-norms of ``contraction_data``.
+``contraction_data`` scans exact integer norms of powers and rounds its two
+floats up from them; floats enter otherwise only through ``Matrix.to_float``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import exp, lcm, log
 from operator import mul
 
 import numpy as np
@@ -220,33 +220,38 @@ def ensure_expansive(m: Matrix) -> None:
 
 
 #: powers scanned for one of norm below 1 (a non-normal inverse may need several)
-CONTRACTION_POWERS = 32
+CONTRACTION_POWERS = 64
+#: relative round-up of (C, c); it covers the float log/exp error for D < 10^20
+CONTRACTION_MARGIN = 1e-12
 
 
-def contraction_data(a: np.ndarray):
-    """Return (C, c) with ||a^n||_2 <= C * c^n for all n >= 0 and c < 1.
+def contraction_data(m: Matrix):
+    """Return floats (C, c) with ||m^n|| <= C * c^n for all n >= 0 and c < 1.
 
-    Scans powers a^k, takes c = ||a^k||^(1/k) for the k minimising it among
-    the contracting powers, and C = max_{j<k} ||a^j|| / c^j. Norms are
-    largest singular values inflated by 1%, which absorbs float error in the
-    powers; the sub-multiplicative splitting n = q*k + j then certifies the
-    bound up to that margin. An inverse that contracts too slowly for the
-    scanned powers to show it raises BudgetExceeded, not NotExpansive.
+    ||a|| = max(||a||_1, ||a||_inf) is submultiplicative, the same for a^T,
+    and bounds the 1-, 2- and inf-operator norms (||a||_2^2 <= ||a||_1
+    ||a||_inf). It is scanned on the integer powers (D m)^k, D the lcm of the
+    entry denominators: ||m^k|| = N_k / D^k, a contraction iff N_k < D^k.
+    The contracting k with the least c = ||m^k||^(1/k) (by float logs; any
+    contracting k is valid) and C = max_{j<k} ||m^j|| / c^j bound m^n by
+    the splitting n = q*k + j, both rounded up by CONTRACTION_MARGIN. An
+    inverse that contracts too slowly for the scanned powers to show it
+    raises BudgetExceeded, not NotExpansive.
     """
-    norms = [1.0]
-    p = np.eye(a.shape[0])
-    best = None  # (c, k)
+    den, a = integer_rows(m.rows)
+    p = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
+    logs, best = [0.0], None  # logs[k] = log ||m^k||; best = (log c, k)
     for k in range(1, CONTRACTION_POWERS + 1):
-        p = p @ a
-        nk = float(np.linalg.norm(p, 2)) * 1.01
-        norms.append(nk)
-        if nk < 1.0:
-            c = nk ** (1.0 / k)
-            if best is None or c < best[0]:
-                best = (c, k)
-    if best is None:
+        p = [[sum(map(mul, row, col)) for col in zip(*a)] for row in p]
+        norm = max(sum(map(abs, v)) for v in (*p, *zip(*p)))
+        logs.append(log(norm) - k * log(den))
+        if norm < den**k and (best is None or logs[k] / k < best[0]):
+            best = (logs[k] / k, k)
+    log_c, k = best or (0.0, 0)
+    c = exp(log_c) * (1 + CONTRACTION_MARGIN)
+    if c >= 1.0:
         raise BudgetExceeded(
             "no power up to %d of the inverse is a contraction" % CONTRACTION_POWERS
         )
-    c, k = best
-    return max(norms[j] / c**j for j in range(k)), c
+    big_c = max(exp(logs[j] - j * log(c)) for j in range(k))
+    return big_c * (1 + CONTRACTION_MARGIN), c

@@ -186,12 +186,7 @@ def _zeros_grid(sys: AffineSystem) -> ZeroSet:
 
 
 def find_zeros(sys: AffineSystem) -> ZeroSet:
-    digit_set = set(sys.digits)
-    if sys.uniform and digit_set == set(simplex_digits(sys.dim)):
-        if sys.dim == 1:
-            return ZeroSet(
-                points=((Fraction(1, 2),),), complete=True, tag="simplex-d1"
-            )
+    if sys.uniform and set(sys.digits) == set(simplex_digits(sys.dim)):
         if sys.dim == 2:
             # 1 + e(x1) + e(x2) = 0 iff {e(x1), e(x2)} are the two primitive
             # cube roots of unity

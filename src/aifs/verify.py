@@ -267,21 +267,18 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
     if not zeros.points:
         return set()
     s = sys.R.transpose()
-    # 0.999: breathing room for the float sqrt (the norm bound itself is
-    # already inflated upward)
-    min_dist = 0.999 * min(
-        math.sqrt(float(_dist_sq_to_lattice(z))) for z in zeros.points
-    )
+    min_dist_sq = min(map(_dist_sq_to_lattice, zeros.points))
     big_c, c = sys.contraction
     # the farthest corner takes the larger |bound| on every axis
-    corner_norm = math.hypot(*[float(max(abs(a), abs(b))) for a, b in zip(lo, hi)])
+    corner_sq = sum(max(abs(a), abs(b)) ** 2 for a, b in zip(lo, hi))
     out = set()
     spow = Matrix.identity(sys.dim)
     for n in range(1, DIFF_LEVELS + 1):
         spow = spow @ s
         # if every ||S^{-n} delta|| over the box is already below the zero
-        # set's distance to the lattice, no further level contributes
-        if big_c * c**n * corner_norm < min_dist:
+        # set's distance to the lattice, no further level contributes (the
+        # margin in C and c covers the rounding of the float C c^n)
+        if Fraction(big_c * c**n) ** 2 * corner_sq < min_dist_sq:
             break
         # S^n (z + Z^d) = S^n z + (the lattice spanned by the columns of S^n)
         lattice = LatticeBasis(spow)
@@ -414,6 +411,8 @@ def completeness_q(
         points = halton_points(samples, sys.dim)
     else:
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != sys.dim:
+            raise ValueError("dimension mismatch")
     qs, errs = [], []
     for x in points:
         vals, err = mu_hat_grid(sys, x[None, :] + lam)

@@ -394,7 +394,7 @@ def test_system_file_must_hold_an_object(capsys, tmp_path, text):
 
 def test_slowly_contracting_system_is_a_limit(capsys, tmp_path):
     # expansive, so the attractor builds, but its inverse contracts too
-    # slowly for the contraction scan that bounds the product's tail
+    # slowly for the 64 product terms of the tail budget
     path = tmp_path / "slow.json"
     path.write_text('{"matrix": [["10001/10000"]], "digits": [[0], [1]]}')
     rc, _, _ = run(capsys, "attractor", str(path), "--depth", "2")
@@ -403,6 +403,13 @@ def test_slowly_contracting_system_is_a_limit(capsys, tmp_path):
     assert rc == 3 and body is None
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("limit:")
+    # R^{-1} = [[99/100, 1], [0, 99/100]]: too slowly for the contraction
+    # scan itself
+    path.write_text('{"matrix": [["100/99", "-10000/9801"], ["0", "100/99"]], '
+                    '"digits": [[0, 0], [1, 0]]}')
+    rc, body, err = run(capsys, "mu-hat", str(path), "--x", "1/3,1/5")
+    assert rc == 3 and body is None
+    assert err.startswith("limit: no power up to 64")
 
 
 def test_unit_modulus_rotation_is_not_expansive(capsys, tmp_path):

@@ -155,6 +155,15 @@ def test_normalization_float_point_matches_exact_point():
     assert abs(float_res - exact_res) < 1e-12
 
 
+def test_normalization_residual_refuses_a_point_of_the_wrong_dimension():
+    # numpy would broadcast (1/3,) to (1/3, 1/3) against the 2-D digits
+    planar = AffineSystem(R=Matrix([[3, 0], [0, 3]]), digits=((0, 0), (1, 0), (0, 1)))
+    dual = planar.dual(((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        normalization_residual(planar, dual, (Fraction(1, 3),))
+    assert normalization_residual(planar, dual, (Fraction(1, 3),) * 2) >= 0.0
+
+
 def test_exact_evaluators_refuse_float_points():
     with pytest.raises(TypeError):
         eval_symbol(CANTOR4, (0.25,))

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aifs.errors import NotExpansive
+from aifs import linalg_exact
+from aifs.errors import BudgetExceeded, NotExpansive
 from aifs.fourier import _phase_residues, eval_symbol
 from aifs.ifs_core import (
     AffineSystem,
@@ -17,7 +18,7 @@ from aifs.ifs_core import (
     bounding_box,
     self_similarity_check,
 )
-from aifs.linalg_exact import Matrix, contraction_data, frac
+from aifs.linalg_exact import Matrix, check_expansive, contraction_data, frac
 
 
 def sys1d(scale, digits, weights=()):
@@ -93,7 +94,7 @@ def test_cached_inverses_are_lazy_and_exact():
     assert sys.r_inverse is sys.r_inverse
     assert sys.r_inverse == sys.R.inverse()
     assert sys.s_inverse == sys.R.transpose().inverse()
-    assert sys.contraction == contraction_data(sys.r_inverse.to_float())
+    assert sys.contraction == contraction_data(sys.r_inverse)
 
 
 def test_symbol_lipschitz_is_cached_and_bit_identical():
@@ -181,6 +182,84 @@ def test_shear_system_2d():
     lo, hi = bounding_box(s)
     assert (pts >= np.array(list(map(float, lo))) - 1e-9).all()
     assert (pts <= np.array(list(map(float, hi))) + 1e-9).all()
+
+
+#: the power budget of the float scan below, as it stood in the package
+CONTRACTION_POWERS = 32
+
+
+def reference_contraction_data(a: np.ndarray):
+    """The float scan the exact integer scan replaced: largest singular
+    values of the float powers, inflated by 1%."""
+    norms = [1.0]
+    p = np.eye(a.shape[0])
+    best = None  # (c, k)
+    for k in range(1, CONTRACTION_POWERS + 1):
+        p = p @ a
+        nk = float(np.linalg.norm(p, 2)) * 1.01
+        norms.append(nk)
+        if nk < 1.0:
+            c = nk ** (1.0 / k)
+            if best is None or c < best[0]:
+                best = (c, k)
+    if best is None:
+        raise BudgetExceeded(
+            "no power up to %d of the inverse is a contraction" % CONTRACTION_POWERS
+        )
+    c, k = best
+    return max(norms[j] / c**j for j in range(k)), c
+
+
+_entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def expansive_systems(draw):
+    """(rows, digits): an expansive rational R, n <= 3, and 1-3 integer digits."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(check_expansive(Matrix(rows)))
+    digits = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                           min_size=1, max_size=3, unique=True))
+    return rows, digits
+
+
+@settings(max_examples=80, deadline=None)
+# the fixed point 1 of x -> (x + 1) / 2 is on the box [-1, 1] up to the margin
+@example(system=([[2]], [(0,), (1,)]))
+# R^{-1} has spectral radius 0.993: the float scan contracts at power 18, the
+# exact norm first drops below 1 past the 64th power
+@example(system=([["-2/3", "-1/5", 1], [0, "4/5", 5], [1, "-1/5", 3]], [(0, 0, 0)]))
+@given(expansive_systems())
+def test_exact_contraction_bounds_norms_and_box(system):
+    rows, digits = system
+    sys = AffineSystem(R=Matrix(rows), digits=digits)
+    n = sys.dim
+    try:
+        ref = reference_contraction_data(sys.r_inverse.to_float())
+    except BudgetExceeded:
+        ref = None
+    try:
+        big_c, c = sys.contraction
+    except BudgetExceeded:
+        # a refusal the float scan decided must be one its own bound allows:
+        # ||a^k||_1, ||a^k||_inf <= sqrt(n) ||a^k||_2 <= sqrt(n) C c^k, which
+        # stays >= 1 up to the last scanned power
+        assert ref is None or (
+            math.sqrt(n) * ref[0] * ref[1] ** linalg_exact.CONTRACTION_POWERS >= 1
+        )
+        return
+    p = Matrix.identity(n)
+    for k in range(1, 41):
+        p = p @ sys.r_inverse
+        for order in (1, 2, np.inf):
+            assert np.linalg.norm(p.to_float(), order) <= big_c * c**k * (1 + 1e-9)
+    lo, hi = bounding_box(sys)
+    minus_one = Matrix.identity(n).scale(-1)
+    fixed = [sys.R.add(minus_one).inverse().mat_vec(b) for b in sys.digits]
+    for x in attractor(sys, depth=4).points + fixed:
+        assert all(a <= v <= b for a, v, b in zip(lo, x, hi))
 
 
 @settings(max_examples=25, deadline=None)

@@ -91,12 +91,14 @@ def test_unit_modulus_rotation_is_not_expansive():
 
 
 def test_contraction_data_certifies_norm_decay():
-    a = np.linalg.inv(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    big_c, c = contraction_data(a)
+    m = M([[2, 1], [0, 2]]).inverse()
+    big_c, c = contraction_data(m)
     assert 0 < c < 1
+    a = m.to_float()  # dyadic entries: the float powers are exact
     for n in range(1, 40):
-        actual = np.linalg.norm(np.linalg.matrix_power(a, n), 2)
-        assert actual <= big_c * c**n * (1 + 1e-9)
+        for order in (1, 2, np.inf):
+            actual = np.linalg.norm(np.linalg.matrix_power(a, n), order)
+            assert actual <= big_c * c**n * (1 + 1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,8 +361,13 @@ def test_frac_refuses_non_integral_floats_with_type_error(x):
 
 
 def test_slow_contraction_is_a_budget_limit_not_a_verdict():
-    # R = 10001/10000 is expansive, but no power up to CONTRACTION_POWERS of
-    # its inverse has a 1%-inflated norm below 1
-    assert check_expansive(M([["10001/10000"]]))
+    # R^{-1} has spectral radius 99/100, so R is expansive, but its Jordan
+    # block keeps ||R^{-k}|| = (99/100)^k + k (99/100)^(k-1) above 1 for
+    # every k up to CONTRACTION_POWERS
+    r_inv = M([["99/100", 1], [0, "99/100"]])
+    assert check_expansive(r_inv.inverse())
     with pytest.raises(BudgetExceeded):
-        contraction_data(np.array([[10000 / 10001]]))
+        contraction_data(r_inv)
+    # the exact norm of 10000/10001 is below 1 at the first power
+    big_c, c = contraction_data(M([["10000/10001"]]))
+    assert Fraction(10000, 10001) <= c < 1 and 1 <= big_c

@@ -64,9 +64,11 @@ def test_zeros_cantor4_circle_route():
 
 
 def test_zeros_simplex_d1():
-    zs = find_zeros(sys1d(3, [0, 1]))
-    assert zs.points == ((Fraction(1, 2),),)
-    assert zs.complete
+    # the polynomial route: 1 + z has the one unit-circle root -1
+    for scale in (2, 3, 4, 6):
+        zs = find_zeros(sys1d(scale, [0, 1]))
+        assert zs.points == ((Fraction(1, 2),),)
+        assert zs.complete and zs.tag == "circle-poly-d1"
 
 
 def test_zeros_simplex_d2_closed_form():

@@ -227,6 +227,16 @@ def test_completeness_q_explicit_points():
     assert rep.sample_points == ((0.0,), (0.3,))
 
 
+def test_completeness_q_refuses_sample_points_of_the_wrong_dimension():
+    # numpy would broadcast [0.3] to (0.3, 0.3) against the planar frequencies
+    planar = simplex_system(3, 2)
+    freqs = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        completeness_q(planar, freqs, points=[[0.3]])
+    rep = completeness_q(planar, freqs, points=[[0.3, 0.3]])
+    assert rep.sample_points == ((0.3, 0.3),)
+
+
 # ---------------------------------------------------------------- Fraction reference
 #
 # The route the integer kernel and the per-difference table replaced: the
