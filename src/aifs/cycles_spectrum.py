@@ -145,7 +145,7 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
 
     Coordinates k of a point x = G k are bounded by evaluating G^{-1} on the
     box corners; the integer ranges are scanned and each candidate compared
-    against the box with a hair of slack for float bounds.
+    against the box exactly.
     """
     g = lattice.basis
     ginv = lattice.inverse
@@ -161,11 +161,10 @@ def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
         total *= len(kranges[-1])
         if total > BOX_CAP:
             raise BudgetExceeded("box enumeration would scan %d points" % total)
-    slack = Fraction(1, 10**9)
     out = []
     for k in product(*kranges):
         x = g.mat_vec(fvec(k))
-        if all(lo_f[i] - slack <= x[i] <= hi_f[i] + slack for i in range(d)):
+        if all(lo_f[i] <= x[i] <= hi_f[i] for i in range(d)):
             out.append(x)
     return out
 

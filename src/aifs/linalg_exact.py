@@ -65,6 +65,17 @@ def int_mat_vec(rows, v) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in rows)
 
 
+def int_mat_mul(a, b) -> list:
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def log_ratio(a: int, b: int) -> float:
+    """log(a / b) for positive integers, to a few ulps of the result even
+    where log(a) - log(b) would lose ulps of log(a)."""
+    s = a.bit_length() - b.bit_length() - 64  # a / b = 2^s q, q >= 2^62
+    return log(a // (b << s) if s >= 0 else (a << -s) // b) + s * log(2)
+
+
 def lattice_numerators(x, dim: int, den: int = 1) -> tuple:
     """(N, D) with integer N and x / den = N / D for x in Q^dim, the one way
     into the exact symbol, transform and pair kernels: another length raises
@@ -152,7 +163,7 @@ class Matrix:
         coeffs = [1]
         p = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
-            ap = [[sum(map(mul, row, col)) for col in zip(*p)] for row in a]
+            ap = int_mat_mul(a, p)
             # an integer matrix has an integer characteristic polynomial, so
             # this division by k is exact
             ck = -sum(ap[i][i] for i in range(n)) // k
@@ -219,9 +230,11 @@ def ensure_expansive(m: Matrix) -> None:
         raise NotExpansive("R must have all eigenvalue moduli > 1")
 
 
-#: powers scanned for one of norm below 1 (a non-normal inverse may need several)
+#: powers scanned for one of norm below 1 (a non-normal inverse may need
+#: several); past them the scan squares up to power CONTRACTION_POWERS**2
 CONTRACTION_POWERS = 64
-#: relative round-up of (C, c); it covers the float log/exp error for D < 10^20
+#: relative round-up of (C, c); it covers the float log/exp error while the
+#: logged norms stay below e^100
 CONTRACTION_MARGIN = 1e-12
 
 
@@ -232,26 +245,33 @@ def contraction_data(m: Matrix):
     and bounds the 1-, 2- and inf-operator norms (||a||_2^2 <= ||a||_1
     ||a||_inf). It is scanned on the integer powers (D m)^k, D the lcm of the
     entry denominators: ||m^k|| = N_k / D^k, a contraction iff N_k < D^k.
-    The contracting k with the least c = ||m^k||^(1/k) (by float logs; any
-    contracting k is valid) and C = max_{j<k} ||m^j|| / c^j bound m^n by
-    the splitting n = q*k + j, both rounded up by CONTRACTION_MARGIN. An
-    inverse that contracts too slowly for the scanned powers to show it
-    raises BudgetExceeded, not NotExpansive.
+    The contracting k <= 64 with the least c = ||m^k||^(1/k) (by float logs;
+    any contracting k is valid) and C = max_{j<k} ||m^j|| / c^j bound m^n by
+    the splitting n = q*k + j. If none contracts, m^64 is squared until m^K,
+    K = 64 * 2^s, does; then j < K is r + 64 t with r < 64 and t < 2^s, so C
+    also takes a factor ||m^(64 2^i)|| / c^(64 2^i) > 1 for every i < s.
+    Both are rounded up by CONTRACTION_MARGIN. An inverse that contracts too
+    slowly for power 64^2 to show it raises BudgetExceeded, not NotExpansive.
     """
     den, a = integer_rows(m.rows)
-    p = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
-    logs, best = [0.0], None  # logs[k] = log ||m^k||; best = (log c, k)
-    for k in range(1, CONTRACTION_POWERS + 1):
-        p = [[sum(map(mul, row, col)) for col in zip(*a)] for row in p]
-        norm = max(sum(map(abs, v)) for v in (*p, *zip(*p)))
-        logs.append(log(norm) - k * log(den))
-        if norm < den**k and (best is None or logs[k] / k < best[0]):
-            best = (logs[k] / k, k)
-    log_c, k = best or (0.0, 0)
+    p, k, logs, squared, best = a, 1, [0.0], [], None  # best = (log c, k)
+    while True:
+        norm = max(sum(map(abs, v)) for v in (*p, *zip(*p)))  # D^k ||m^k||
+        log_k = log_ratio(norm, den**k)
+        if norm < den**k and (best is None or log_k / k < best[0]):
+            best = (log_k / k, min(k, CONTRACTION_POWERS))
+        if k < CONTRACTION_POWERS:
+            logs.append(log_k)  # logs[j] = log ||m^j||, j < 64
+            p, k = int_mat_mul(p, a), k + 1
+        elif best is None and k < CONTRACTION_POWERS**2:
+            squared.append((k, log_k))
+            p, k = int_mat_mul(p, p), 2 * k
+        else:
+            break
+    log_c, k = best or (0.0, k)
     c = exp(log_c) * (1 + CONTRACTION_MARGIN)
-    if c >= 1.0:
-        raise BudgetExceeded(
-            "no power up to %d of the inverse is a contraction" % CONTRACTION_POWERS
-        )
-    big_c = max(exp(logs[j] - j * log(c)) for j in range(k))
-    return big_c * (1 + CONTRACTION_MARGIN), c
+    if c >= 1.0:  # none contracts, or the rounding reaches 1
+        raise BudgetExceeded("no power up to %d of the inverse is a contraction" % k)
+    log_big_c = max(logs[j] - j * log(c) for j in range(k))
+    log_big_c += sum(log_j - j * log(c) for j, log_j in squared)
+    return exp(log_big_c) * (1 + CONTRACTION_MARGIN), c

@@ -403,13 +403,13 @@ def test_slowly_contracting_system_is_a_limit(capsys, tmp_path):
     assert rc == 3 and body is None
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("limit:")
-    # R^{-1} = [[99/100, 1], [0, 99/100]]: too slowly for the contraction
-    # scan itself
-    path.write_text('{"matrix": [["100/99", "-10000/9801"], ["0", "100/99"]], '
+    # R^{-1} = [[999/1000, 1], [0, 999/1000]]: too slowly for the contraction
+    # scan itself, whose norms stay above 1 past the 4096th power
+    path.write_text('{"matrix": [["1000/999", "-1000000/998001"], ["0", "1000/999"]], '
                     '"digits": [[0, 0], [1, 0]]}')
     rc, body, err = run(capsys, "mu-hat", str(path), "--x", "1/3,1/5")
     assert rc == 3 and body is None
-    assert err.startswith("limit: no power up to 64")
+    assert err.startswith("limit: no power up to 4096")
 
 
 def test_unit_modulus_rotation_is_not_expansive(capsys, tmp_path):

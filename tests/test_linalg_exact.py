@@ -361,10 +361,16 @@ def test_frac_refuses_non_integral_floats_with_type_error(x):
 
 
 def test_slow_contraction_is_a_budget_limit_not_a_verdict():
-    # R^{-1} has spectral radius 99/100, so R is expansive, but its Jordan
-    # block keeps ||R^{-k}|| = (99/100)^k + k (99/100)^(k-1) above 1 for
-    # every k up to CONTRACTION_POWERS
+    # R^{-1} has spectral radius 99/100, but its Jordan block keeps ||R^{-k}||
+    # = (99/100)^k + k (99/100)^(k-1) above 1 up to k = 644: the squarings
+    # past the 64th power reach a contracting 1024th
     r_inv = M([["99/100", 1], [0, "99/100"]])
+    big_c, c = contraction_data(r_inv)
+    for n in (1, 64, 644, 645, 1000, 3000):
+        p = r_inv.pow(n).rows
+        assert float(max(sum(map(abs, v)) for v in (*p, *zip(*p)))) <= big_c * c**n
+    # with 999/1000 the norm stays above 1 up to k = 9114, past 64^2 = 4096
+    r_inv = M([["999/1000", 1], [0, "999/1000"]])
     assert check_expansive(r_inv.inverse())
     with pytest.raises(BudgetExceeded):
         contraction_data(r_inv)
