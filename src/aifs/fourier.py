@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .linalg_exact import fvec, int_mat_vec, lattice_numerators
 #: of magnitude smaller
 ZERO_PREFILTER = 1e-8
 
+_TWO_PI_I = 2j * math.pi
+
 
 @dataclass(frozen=True)
 class SymbolValue:
@@ -36,30 +39,61 @@ class SymbolValue:
     certified: bool  # whether the zero/non-zero status is rigorous
 
 
-def _phase_residues(sys: AffineSystem, x, den: int) -> tuple:
-    """(r, M): the phases b.(x / den) mod 1 as integer residues r_b / M."""
-    num, den = lattice_numerators(x, sys.dim, den)
+def _residues(sys: AffineSystem, y, den: int) -> tuple:
+    """(r, M): the phases b.(y / den) mod 1 of integer y as residues r_b / M."""
     c, digits = sys.integer_digits
-    return [r % (c * den) for r in int_mat_vec(digits, num)], c * den
+    m = c * den
+    return [sum(map(mul, b, y)) % m for b in digits], m
+
+
+def _phase_residues(sys: AffineSystem, x, den: int) -> tuple:
+    """(r, M): the phases b.(x / den) mod 1 at rational x."""
+    return _residues(sys, *lattice_numerators(x, sys.dim, den))
+
+
+def _exact_zero(sys: AffineSystem, res, m: int) -> tuple:
+    """(zero, certified) for sum_b w_b e(r_b / M), memoised per system.
+
+    The decision depends only on the normalised pattern: rotating out
+    e(r_0 / M), a unit, and dividing M and every r_b - r_0 by their gcd g
+    (a sum over M-th roots supported on multiples of g is the same sum over
+    (M/g)-th roots) leave the value's vanishing unchanged. The normalised q
+    is the denominator ``vanishing_sum`` reaches after its own rotation, so
+    it refuses exactly the patterns it refuses unnormalised."""
+    r0 = res[0]
+    shifted = [(r - r0) % m for r in res] if r0 else res
+    g = math.gcd(m, *shifted)
+    key = (m // g, *[r // g for r in shifted])
+    memo = sys.zero_memo
+    if key not in memo:
+        phases = [Fraction(r, key[0]) for r in key[1:]]
+        try:
+            memo[key] = vanishing_sum(sys.weights, phases), True
+        except ExactnessUnavailable:
+            memo[key] = False, False
+    return memo[key]
+
+
+def _symbol(sys: AffineSystem, y, den: int) -> tuple:
+    """(value, is_zero, certified) of m(y / den) at integer y. r / M rounds
+    correctly: each phase is the float of the reduced fraction. Only a
+    value the float prefilter cannot rule out reaches the exact test."""
+    res, m = _residues(sys, y, den)
+    val = sum(
+        w * cmath.exp(_TWO_PI_I * (r / m))
+        for w, r in zip(sys.complex_weights, res)
+    )
+    if abs(val) > ZERO_PREFILTER:
+        return val, False, True
+    zero, certified = _exact_zero(sys, res, m)
+    return (0j if zero else val), zero, certified
 
 
 def eval_symbol(sys: AffineSystem, x, den: int = 1) -> SymbolValue:
     """Evaluate m(x / den) at a rational x with an exact zero/non-zero
     certificate; float points raise TypeError (``eval_symbol_float``
-    evaluates those). r / M rounds correctly: each phase is the float of
-    the reduced fraction."""
-    res, m = _phase_residues(sys, x, den)
-    val = sum(
-        w * cmath.exp(2j * math.pi * (r / m))
-        for w, r in zip(sys.complex_weights, res)
-    )
-    if abs(val) > ZERO_PREFILTER:
-        return SymbolValue(val, False, True)
-    try:
-        zero = vanishing_sum(sys.weights, [Fraction(r, m) for r in res])
-    except ExactnessUnavailable:
-        return SymbolValue(val, False, False)
-    return SymbolValue(0j if zero else val, zero, True)
+    evaluates those)."""
+    return SymbolValue(*_symbol(sys, *lattice_numerators(x, sys.dim, den)))
 
 
 def eval_symbol_float(sys: AffineSystem, y: np.ndarray) -> complex:
@@ -114,20 +148,26 @@ def truncation_tail(sys: AffineSystem, xnorm: float):
     return tail
 
 
-def factor_chain(sys: AffineSystem, x, terms: int, den: int = 1):
-    """Yield (n, Y_n, D_n, m(S^{-n} x'), tail_n) for n = 1..terms at the
-    rational x' = x / den: the factors of mu^(x') = prod_n m(S^{-n} x'),
-    each with its exact zero certificate, S^{-n} x' = Y_n / D_n in integers
-    (Y_n = A Y_{n-1}, D_n = e D_{n-1} for S^{-1} = A / e), and the
-    ``truncation_tail`` bound tail_n on how far the factors past n move
-    the product from 1."""
-    y, den = lattice_numerators(x, sys.dim, den)
-    tail_at = truncation_tail(sys, math.hypot(*[v / den for v in y]) or 1.0)
+def integer_chain(sys: AffineSystem, y, den: int, terms: int):
+    """Yield (n, Y_n, D_n) for n = 1..terms, S^{-n}(y / den) = Y_n / D_n in
+    integers: Y_n = A Y_{n-1} and D_n = e D_{n-1} for S^{-1} = A / e."""
     e, a = sys.integer_s_inverse
     for n in range(1, terms + 1):
         y = int_mat_vec(a, y)
         den *= e
-        yield n, y, den, eval_symbol(sys, y, den), tail_at(n)
+        yield n, y, den
+
+
+def factor_chain(sys: AffineSystem, x, terms: int, den: int = 1):
+    """Yield (n, Y_n, D_n, m(S^{-n} x'), tail_n) for n = 1..terms at the
+    rational x' = x / den: the factors of mu^(x') = prod_n m(S^{-n} x'),
+    each with its exact zero certificate, S^{-n} x' = Y_n / D_n as in
+    ``integer_chain``, and the ``truncation_tail`` bound tail_n on how far
+    the factors past n move the product from 1."""
+    y, den = lattice_numerators(x, sys.dim, den)
+    tail_at = truncation_tail(sys, math.hypot(*[v / den for v in y]) or 1.0)
+    for n, y, den in integer_chain(sys, y, den, terms):
+        yield n, y, den, SymbolValue(*_symbol(sys, y, den)), tail_at(n)
 
 
 def eval_mu_hat(

@@ -114,6 +114,12 @@ class AffineSystem:
         return tuple(map(complex, self.weights))
 
     @cached_property
+    def zero_memo(self) -> dict:
+        """Exact symbol-zero decisions by normalised phase pattern
+        (``fourier._exact_zero``), filled as the system is used."""
+        return {}
+
+    @cached_property
     def symbol_lipschitz(self) -> float:
         """theta = 2 pi sum_b w_b |b|, which bounds |m(y) - 1| <= theta |y|."""
         return 2.0 * math.pi * sum(

@@ -62,7 +62,7 @@ def integer_rows(rows) -> tuple:
 
 
 def int_mat_vec(rows, v) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in rows)
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def int_mat_mul(a, b) -> list:

@@ -35,10 +35,11 @@ from .cycles_spectrum import (
     spectrum_from_cycles,
 )
 from .errors import AifsError, BudgetExceeded
-from .fourier import eval_symbol, factor_chain, mu_hat_grid
+from .fourier import _symbol, eval_symbol, integer_chain, mu_hat_grid, truncation_tail
+from .fourier import factor_chain  # noqa: F401  (re-exported)
 from .ifs_core import AffineSystem, simplex_system
 from .linalg_exact import Matrix, fvec, integer_rows, lattice_numerators, vec_add, vec_sub
-from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros
+from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros, finite_bound
 
 Vec = tuple
 
@@ -47,11 +48,20 @@ Vec = tuple
 class OrthogonalityCertificate:
     status: str  # "certified" | "not-orthogonal" | "undetermined"
     vanishing_index: int | None = None
-    zero_point: Vec | None = None
+    #: a certified pair's zero point S^{-n}(lam - lam') as integer
+    #: numerators over one denominator, in lowest terms
+    zero_numerators: tuple | None = None
+    zero_denominator: int = 1
 
     @property
     def orthogonal(self) -> bool:
         return self.status == "certified"
+
+    @property
+    def zero_point(self) -> Vec | None:
+        if self.zero_numerators is None:
+            return None
+        return tuple(Fraction(v, self.zero_denominator) for v in self.zero_numerators)
 
 
 #: factors m(S^{-n}(lam - lam')) walked before a pair is left undetermined
@@ -65,8 +75,9 @@ def orthogonal_pair(
     at the frequencies lam / den and lam' / den (den defaults to 1; the pair
     table passes integer numerators over its lattice denominator).
 
-    Walks the factor chain m(S^{-n}(lam - lam')): an exact factor zero
-    certifies orthogonality at that index; if every factor up to n is
+    Walks the factor chain m(S^{-n}(lam - lam')) on integers
+    (``integer_chain``), deciding each factor's status only: an exact factor
+    zero certifies orthogonality at that index; if every factor up to n is
     certified non-zero and the remaining tail is provably closer to 1 than
     its own modulus allows for a zero, the product cannot vanish and the
     pair is certifiedly NOT orthogonal. Anything else is undetermined
@@ -78,14 +89,23 @@ def orthogonal_pair(
     delta = tuple(k // da * u - k // db * v for u, v in zip(a, b))
     if not any(delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
+    tail_at = None  # built at the first factor certified non-zero
     all_factors_certified = True
-    for n, y, y_den, sv, tail in factor_chain(sys, delta, PAIR_DEPTH, k):
-        if sv.is_zero:
-            zero = tuple(Fraction(v, y_den) for v in y)
-            return OrthogonalityCertificate("certified", n, zero)
-        all_factors_certified = all_factors_certified and sv.certified
+    for n, y, y_den in integer_chain(sys, delta, k, PAIR_DEPTH):
+        _, zero, certified = _symbol(sys, y, y_den)
+        if zero:
+            g = math.gcd(y_den, *y)
+            if g > 1:
+                y, y_den = tuple(v // g for v in y), y_den // g
+            return OrthogonalityCertificate("certified", n, y, y_den)
+        all_factors_certified = all_factors_certified and certified
+        if not all_factors_certified:
+            continue
+        if tail_at is None:
+            xnorm = math.hypot(*[v / k for v in delta]) or 1.0
+            tail_at = truncation_tail(sys, xnorm)
         # the product of the factors past n is within 0.999 of 1: not zero
-        if all_factors_certified and tail < 0.999:
+        if tail_at(n) < 0.999:
             return OrthogonalityCertificate("not-orthogonal")
     return OrthogonalityCertificate("undetermined")
 
@@ -147,6 +167,8 @@ class FrequencyLattice:
 
     def statuses(self, sys: AffineSystem, diffs) -> dict:
         """The certificate status of each key difference, keyed by |k|."""
+        if self.points and len(self.spans) != sys.dim:
+            raise ValueError("dimension mismatch")
         zero = (0,) * len(self.spans)
         return {
             k: orthogonal_pair(sys, self.unpack(k), zero, self.den).status
@@ -224,8 +246,13 @@ def rational_grid_1d(max_den: int, lo, hi) -> list:
     return [(Fraction(a, q),) for _, (a, q) in sorted(pts.items())]
 
 
-def _max_clique(nodes: int, neighbors) -> list:
+def _max_clique(nodes: int, neighbors, bound: int | None = None) -> list:
+    """A maximum clique, by branch and bound over the nodes in descending
+    degree order. ``bound``, a proven upper bound on the clique size, ends
+    the search once a clique reaches it: ``best`` is replaced only by a
+    strictly larger clique, so the one found is the unbounded search's."""
     best = [0] if nodes else []
+    bound = nodes if bound is None else bound
 
     def expand(cur, cands):
         nonlocal best
@@ -235,7 +262,7 @@ def _max_clique(nodes: int, neighbors) -> list:
             return
         cands = set(cands)
         while cands:
-            if len(cur) + len(cands) <= len(best):
+            if len(cur) + len(cands) <= len(best) or len(best) >= bound:
                 return
             v = cands.pop()
             cur.append(v)
@@ -245,6 +272,8 @@ def _max_clique(nodes: int, neighbors) -> list:
     order = sorted(range(nodes), key=lambda v: -len(neighbors[v]))
     remaining = set(range(nodes))
     for v in order:
+        if len(best) >= bound:
+            break
         if 1 + len(neighbors[v] & remaining) <= len(best):
             remaining.discard(v)
             continue
@@ -303,9 +332,13 @@ def max_orthogonal_family(
     With a certified-complete finite zero set the certified-orthogonal
     differences inside the grid's difference box are enumerated directly
     (zeros pushed forward by S^n) and a maximum clique is taken over the
-    resulting graph -- that is the exact maximum. Otherwise every grid pair
-    is certified individually; undetermined pairs count as non-edges and
-    downgrade the result to a certified lower bound.
+    resulting graph -- that is the exact maximum. For integral R the
+    clique search stops at the finite-orbit bound (``finite_bound``;
+    Jorgensen and Pedersen, J. Anal. Math. 75 (1998)): if the S-invariant
+    closure of the zeros avoids 0, no orthogonal family exceeds its size
+    plus one. Otherwise every grid pair is certified individually;
+    undetermined pairs count as non-edges and downgrade the result to a
+    certified lower bound.
     """
     lat = FrequencyLattice(grid)
     grid, keys = lat.points, lat.keys
@@ -315,12 +348,17 @@ def max_orthogonal_family(
         raise ValueError("grid has repeated points")
     if zeros is None:
         zeros = find_zeros(sys)
-    certified = True
+    certified, bound = True, None
     if zeros.complete and not zeros.families:
         method = "difference-set"
         hi = [Fraction(w, lat.den) for w in lat.spans]
         hset = _certified_difference_set(sys, zeros, [-x for x in hi], hi)
         neighbors = lat.neighbors(hset)
+        if sys.R.is_integer:
+            try:  # None when 0 lies in the closure
+                bound = finite_bound(sys.R.transpose(), zeros.points).bound
+            except BudgetExceeded:  # the closure passed CLOSURE_CAP
+                pass
     else:
         method = "pairwise"
         if len(grid) > PAIRWISE_CAP:
@@ -335,7 +373,7 @@ def max_orthogonal_family(
             if table[abs(keys[i] - keys[j])] == "certified":
                 neighbors[i].add(j)
                 neighbors[j].add(i)
-    clique = _max_clique(len(grid), neighbors)
+    clique = _max_clique(len(grid), neighbors, bound)
     return FamilyReport(
         family=tuple(grid[i] for i in clique),
         size=len(clique),

@@ -9,10 +9,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aifs import cycles_spectrum, verify
+from aifs import catalog, cycles_spectrum, fourier, torus_dynamics, verify
 from aifs.cyclotomy import vanishing_sum
 from aifs.errors import AifsError, BudgetExceeded, ExactnessUnavailable
 from aifs.fourier import (
@@ -25,8 +25,9 @@ from aifs.fourier import (
     truncation_tail,
 )
 from aifs.ifs_core import AffineSystem, simplex_system
-from aifs.linalg_exact import Matrix, frac, fvec, vec_dot, vec_sub
-from aifs.torus_dynamics import ZeroSet, find_zeros
+from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_dot, vec_sub
+from aifs.serialize import frequencies_from_dict, system_from_dict
+from aifs.torus_dynamics import ZeroSet, find_zeros, finite_bound
 from aifs.verify import (
     Analysis,
     block_root_family,
@@ -406,14 +407,49 @@ def test_pair_table_matches_fraction_route(case):
     assert rep.bad_pairs == bad
 
 
+#: systems with an exact symbol zero z and integral digits: uniform and
+#: weighted digits, an integer and a rational R
+NEAR_ZERO_SYSTEMS = (
+    (CANTOR4, (Fraction(1, 4),)),
+    (sys1d(3, [0, 1]), (Fraction(1, 2),)),
+    (simplex_system(3, 2), (Fraction(1, 3), Fraction(2, 3))),
+    (
+        _system([[3, 0], [0, 3]], [[0, 0], [1, 0], [0, 1]], ["1/2", "1/4", "1/4"]),
+        (Fraction(1, 2), Fraction(1, 2)),
+    ),
+    (
+        _system([["3/2", 0, 0], [0, 2, 0], [0, 1, 3]], [[0, 0, 0], [1, 1, 0]]),
+        (Fraction(1, 2), Fraction(0), Fraction(0)),
+    ),
+)
+
+
+@st.composite
+def pairs_near_zeros(draw):
+    """(system, (lam, 0)) with S^{-1} lam = z + e_1 / N + an integer vector
+    for an exact zero z and N >= 10^9. The first factor is within
+    2 pi / N < 1e-8 of zero, so the float prefilter cannot rule it out, and
+    its normalised phase denominator exceeds ``Q_CAP``: the exact test
+    refuses and the factor stays uncertified."""
+    sys, z = draw(st.sampled_from(NEAR_ZERO_SYSTEMS))
+    n = draw(st.integers(10**9, 10**12))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * sys.dim))
+    x = vec_add((z[0] + Fraction(1, n),) + z[1:], fvec(shift))
+    return sys, (sys.R.transpose().mat_vec(x), (0,) * sys.dim)
+
+
 @settings(max_examples=60, deadline=None)
-@given(system_and_frequencies(max_size=2))
+@given(st.one_of(system_and_frequencies(max_size=2), pairs_near_zeros()))
 def test_integer_certificate_matches_fraction_route(case):
     sys, (lam, lam_prime) = case
+    ref = reference_certificate(sys, lam, lam_prime)
     cert = orthogonal_pair(sys, lam, lam_prime)
-    assert (cert.status, cert.vanishing_index, cert.zero_point) == (
-        reference_certificate(sys, lam, lam_prime)
-    )
+    assert (cert.status, cert.vanishing_index, cert.zero_point) == ref
+    # the pair table's status walk over the same difference
+    lat = verify.FrequencyLattice([lam, lam_prime])
+    ((_, _, status),) = reference_pair_statuses(sys, lat.points, [(0, 1)])
+    k = lat.keys[0] - lat.keys[1]
+    assert lat.statuses(sys, [k]) == {abs(k): status}
 
 
 def test_bad_pairs_keep_combinations_order():
@@ -481,6 +517,94 @@ def test_family_routes_match_fraction_neighbour_loops(case):
     assert max_orthogonal_family(sys, grid, zeros=zeros).size == rep.size
 
 
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    neighbors = [set() for _ in range(n)]
+    for i, j in edges:
+        if i != j:
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    return n, neighbors
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_clique_bound_keeps_the_unbounded_clique(graph):
+    n, neighbors = graph
+    clique = verify._max_clique(n, neighbors)
+    for i, j in combinations(clique, 2):
+        assert j in neighbors[i]
+    # any true upper bound, tight or not, ends on the same clique
+    for bound in (len(clique), len(clique) + 1, n):
+        assert verify._max_clique(n, neighbors, bound) == clique
+
+
+@st.composite
+def bounded_family_cases(draw):
+    """A d = 1 system with integer R and digits, its complete finite zero
+    set, and a rational grid."""
+    p = draw(st.integers(2, 7))
+    digits = draw(st.lists(st.integers(0, 2 * p), min_size=2, max_size=4, unique=True))
+    sys = sys1d(p, digits)
+    zeros = find_zeros(sys)
+    assume(zeros.complete and not zeros.families)
+    coord = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))
+    grid = draw(st.lists(st.tuples(coord), min_size=1, max_size=16, unique=True))
+    return sys, zeros, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_family_cases())
+def test_bounded_family_search_returns_the_unbounded_family(case):
+    sys, zeros, grid = case
+    rep = max_orthogonal_family(sys, grid, zeros=zeros)
+    family, certified = reference_max_family(sys, grid, zeros)
+    assert (rep.family, rep.certified_maximum) == (family, certified)
+    bound = finite_bound(sys.R.transpose(), zeros.points).bound
+    assert bound is None or rep.size <= bound
+
+
+def _record_clique_bounds(monkeypatch) -> list:
+    bounds, search = [], verify._max_clique
+
+    def recording(nodes, neighbors, bound=None):
+        bounds.append(bound)
+        return search(nodes, neighbors, bound)
+
+    monkeypatch.setattr(verify, "_max_clique", recording)
+    return bounds
+
+
+@pytest.mark.parametrize(
+    "system, bound",
+    [
+        (sys1d(3, [0, 1]), 2),  # the closure {1/2} avoids 0
+        (sys1d(2, [0, 1]), None),  # 2 * 1/2 = 0 mod 1: spectral, no bound
+        (sys1d("5/2", [0, 1]), None),  # rational R: no torus dynamics
+    ],
+)
+def test_family_search_takes_the_orbit_bound_where_it_applies(
+    monkeypatch, system, bound
+):
+    bounds = _record_clique_bounds(monkeypatch)
+    grid = rational_grid_1d(4, -3, 3)
+    rep = max_orthogonal_family(system, grid)
+    assert rep.method == "difference-set" and bounds == [bound]
+    zeros = find_zeros(system)
+    assert (rep.family, rep.certified_maximum) == reference_max_family(
+        system, grid, zeros
+    )
+
+
+def test_family_search_runs_unbounded_past_the_closure_cap(monkeypatch):
+    bounds = _record_clique_bounds(monkeypatch)
+    monkeypatch.setattr(torus_dynamics, "CLOSURE_CAP", 0)
+    rep = max_orthogonal_family(sys1d(3, [0, 1]), rational_grid_1d(4, -3, 3))
+    assert bounds == [None] and rep.size == 2
+
+
 def test_frequency_lattice_keys_determine_differences():
     lat = verify.FrequencyLattice(
         [(Fraction(1, 2), 3), (0, -1), (Fraction(-3, 2), 0)]
@@ -531,6 +655,80 @@ def test_pair_statuses_match_fresh_certificates(case):
     assert [(i, j) for i, j, _ in got] == pairs
     for i, j, status in got:
         assert status == orthogonal_pair(sys, freqs[i], freqs[j]).status
+
+
+# ---------------------------------------------------------------- status walk
+
+
+@pytest.mark.parametrize("sys, z", NEAR_ZERO_SYSTEMS)
+def test_pair_next_to_a_zero_with_a_large_denominator_stays_undetermined(sys, z):
+    x = (z[0] + Fraction(1, 10**9),) + z[1:]
+    lam = sys.R.transpose().mat_vec(x)
+    # the first factor's phases b.x have a denominator past Q_CAP
+    with pytest.raises(ExactnessUnavailable):
+        vanishing_sum(sys.weights, [vec_dot(b, x) for b in sys.digits])
+    assert orthogonal_pair(sys, lam, (0,) * sys.dim).status == "undetermined"
+    assert reference_certificate(sys, lam, (0,) * sys.dim)[0] == "undetermined"
+
+
+# ---------------------------------------------------------------- zero memo
+
+
+def _count_vanishing_sums(monkeypatch) -> list:
+    """Record the phases of every ``vanishing_sum`` call the symbol makes."""
+    calls = []
+
+    def counting(weights, phases, *args):
+        calls.append(tuple(phases))
+        return vanishing_sum(weights, phases, *args)
+
+    monkeypatch.setattr(fourier, "vanishing_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, level, patterns", [("cantor4", 6, 1), ("d3-p2", 2, 3)])
+def test_pair_table_decides_each_normalised_pattern_once(
+    monkeypatch, name, level, patterns
+):
+    calls = _count_vanishing_sums(monkeypatch)
+    doc = catalog.load_entry(name)["system"]
+    sys = system_from_dict(doc)  # a fresh system, with an empty memo
+    spectrum = Analysis(sys, frequencies_from_dict(doc)).spectrum(level).elements
+    rep = certify_all_pairs(sys, spectrum)
+    assert rep.n_pairs == rep.certified == 2016
+    # the 2016 certified pairs share these few patterns
+    assert len(calls) == len(set(calls)) == len(sys.zero_memo) == patterns
+
+
+def test_rotated_and_scaled_residues_share_one_memo_key(monkeypatch):
+    calls = _count_vanishing_sums(monkeypatch)
+    sys = simplex_system(3, 2)  # 1 + e(1/3) + e(2/3) = 0
+    # (0, 1, 2) / 3 rotated by 1/3, scaled by 2, and rotated and scaled by 4
+    for res, m in [([0, 1, 2], 3), ([1, 2, 0], 3), ([0, 2, 4], 6), ([7, 11, 15], 12)]:
+        assert fourier._exact_zero(sys, res, m) == (True, True)
+    assert calls == [(Fraction(0), Fraction(1, 3), Fraction(2, 3))]
+    assert list(sys.zero_memo) == [(3, 0, 1, 2)]
+    assert fourier._exact_zero(sys, [0, 1, 1], 3) == (False, True)
+    assert len(calls) == 2
+
+
+def test_fresh_systems_do_not_share_a_zero_memo(monkeypatch):
+    calls = _count_vanishing_sums(monkeypatch)
+    a, b = sys1d(4, [0, 2]), sys1d(4, [0, 2])
+    assert a == b
+    for sys in (a, b, a, b):
+        assert eval_symbol(sys, (Fraction(1, 4),)).is_zero
+    assert len(calls) == 2
+    assert a.zero_memo == b.zero_memo and a.zero_memo is not b.zero_memo
+
+
+def test_memo_keeps_a_refused_pattern_refused():
+    sys = sys1d(3, [0, 1])
+    x = (Fraction(1, 2) + Fraction(1, 10**9),)
+    for _ in range(2):
+        sv = eval_symbol(sys, x)
+        assert not sv.is_zero and not sv.certified
+    assert list(sys.zero_memo.values()) == [(False, False)]
 
 
 # ---------------------------------------------------------------- analysis
@@ -689,6 +887,8 @@ DIMENSION_CALLS = {
     "certify_all_pairs": lambda s, x: certify_all_pairs(
         s, [tuple(k * c for c in x) for k in range(3)]
     ),
+    # one point has no pair to certify: the table checks the dimension itself
+    "certify_all_pairs_one_point": lambda s, x: certify_all_pairs(s, [x]),
     "max_orthogonal_family": lambda s, x: max_orthogonal_family(
         s, [tuple(k * c for c in x) for k in range(3)]
     ),
