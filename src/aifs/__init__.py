@@ -9,12 +9,9 @@ control. A small catalog of worked systems with frozen expected results
 ships under ``aifs.data``.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:  # single source of truth: pyproject metadata
-    __version__ = version("aifs")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
+#: equal to ``[project] version`` in pyproject.toml (a test holds them
+#: together); a literal keeps ``importlib.metadata`` out of every import
+__version__ = "0.1.0"
 
 from .errors import (
     AifsError,

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
+from operator import mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +46,11 @@ from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros, finite_bou
 Vec = tuple
 
 
-@dataclass(frozen=True)
-class OrthogonalityCertificate:
+class OrthogonalityCertificate(NamedTuple):
     status: str  # "certified" | "not-orthogonal" | "undetermined"
     vanishing_index: int | None = None
     #: a certified pair's zero point S^{-n}(lam - lam') as integer
-    #: numerators over one denominator, in lowest terms
+    #: numerators over one denominator, reduced when ``zero_point`` is read
     zero_numerators: tuple | None = None
     zero_denominator: int = 1
 
@@ -63,6 +64,10 @@ class OrthogonalityCertificate:
             return None
         return tuple(Fraction(v, self.zero_denominator) for v in self.zero_numerators)
 
+
+#: the outcomes without fields, shared by every pair that ends in them
+_NOT_ORTHOGONAL = OrthogonalityCertificate("not-orthogonal")
+_UNDETERMINED = OrthogonalityCertificate("undetermined")
 
 #: factors m(S^{-n}(lam - lam')) walked before a pair is left undetermined
 PAIR_DEPTH = 48
@@ -83,10 +88,14 @@ def orthogonal_pair(
     pair is certifiedly NOT orthogonal. Anything else is undetermined
     (PAIR_DEPTH or an exactness cap was hit).
     """
-    a, da = lattice_numerators(lam, sys.dim, den)
-    b, db = lattice_numerators(lam_prime, sys.dim, den)
-    k = math.lcm(da, db)  # lam - lam' = delta / k
-    delta = tuple(k // da * u - k // db * v for u, v in zip(a, b))
+    dim = sys.dim
+    a, da = lattice_numerators(lam, dim, den)
+    b, db = lattice_numerators(lam_prime, dim, den)
+    k = da  # lam - lam' = delta / k
+    if db != da:
+        k = math.lcm(da, db)
+        a, b = [k // da * u for u in a], [k // db * v for v in b]
+    delta = tuple(map(sub, a, b))
     if not any(delta):
         raise ValueError("frequencies coincide; orthogonality is ill-posed")
     tail_at = None  # built at the first factor certified non-zero
@@ -94,9 +103,6 @@ def orthogonal_pair(
     for n, y, y_den in integer_chain(sys, delta, k, PAIR_DEPTH):
         _, zero, certified = _symbol(sys, y, y_den)
         if zero:
-            g = math.gcd(y_den, *y)
-            if g > 1:
-                y, y_den = tuple(v // g for v in y), y_den // g
             return OrthogonalityCertificate("certified", n, y, y_den)
         all_factors_certified = all_factors_certified and certified
         if not all_factors_certified:
@@ -106,8 +112,26 @@ def orthogonal_pair(
             tail_at = truncation_tail(sys, xnorm)
         # the product of the factors past n is within 0.999 of 1: not zero
         if tail_at(n) < 0.999:
-            return OrthogonalityCertificate("not-orthogonal")
-    return OrthogonalityCertificate("undetermined")
+            return _NOT_ORTHOGONAL
+    return _UNDETERMINED
+
+
+class _Neighbors(dict):
+    """Point i -> {j : key_j - key_i in shifts}, filled on demand: a search
+    that reads few points builds few sets."""
+
+    __slots__ = ("_keys", "_shifts", "_index")
+
+    def __init__(self, keys, shifts):
+        super().__init__()
+        self._keys, self._shifts = keys, shifts
+        self._index = {k: i for i, k in enumerate(keys)}
+
+    def __missing__(self, i):
+        index = self._index
+        shifted = map(self._keys[i].__add__, self._shifts)
+        out = self[i] = set(map(index.get, filter(index.__contains__, shifted)))
+        return out
 
 
 class FrequencyLattice:
@@ -130,33 +154,32 @@ class FrequencyLattice:
             raise ValueError("dimension mismatch")
         self.spans = [max(c) - min(c) for c in zip(*nums)]
         self.base = 2 * max(self.spans, default=0) + 1
+        self._powers = [self.base**i for i in range(len(self.spans))]
         self.keys = list(map(self._pack, nums))
 
     def _pack(self, num) -> int:
-        return sum(v * self.base**k for k, v in enumerate(num))
+        return sum(map(mul, num, self._powers))
 
     def unpack(self, k: int) -> tuple:
         """The numerators of the difference a key difference k stands for."""
         half, out = self.base // 2, []
-        for _ in self.spans:
-            out.append((k + half) % self.base - half)
-            k = (k - out[-1]) // self.base
+        k += half * sum(self._powers)  # each balanced digit, raised by half
+        for _ in self._powers:
+            k, r = divmod(k, self.base)
+            out.append(r - half)
         return tuple(out)
 
-    def neighbors(self, diffs) -> list:
-        """For each point i the set of points j with g_j - g_i in ``diffs``
-        (rational vectors), filled in the order of ``diffs``."""
-        index = {k: i for i, k in enumerate(self.keys)}
-        out = [set() for _ in self.keys]
+    def neighbors(self, diffs) -> _Neighbors:
+        """Point i -> the set of points j with g_j - g_i in ``diffs``
+        (rational vectors), each set built when it is first read."""
+        shifts = []
         for h in diffs:
             num = [c * self.den for c in h]
             # off the lattice, or wider than the span: joins no two points
             if any(c.denominator != 1 or abs(c) > self.base // 2 for c in num):
                 continue
-            shift = self._pack(map(int, num))
-            for k in filter(index.__contains__, map(shift.__add__, self.keys)):
-                out[index[k - shift]].add(index[k])
-        return out
+            shifts.append(self._pack(map(int, num)))
+        return _Neighbors(self.keys, shifts)
 
     def differences(self) -> Counter:
         """Key differences of all pairs i < j, with their multiplicities."""
@@ -227,7 +250,9 @@ def certify_all_pairs(sys: AffineSystem, frequencies) -> PairMatrixReport:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    family: tuple  # one maximum certified-orthogonal subset of the grid
+    #: the lexicographically least maximum certified-orthogonal subset of
+    #: the grid, in grid order
+    family: tuple
     size: int
     grid_size: int
     certified_maximum: bool  # False when undetermined pairs were dropped
@@ -247,39 +272,41 @@ def rational_grid_1d(max_den: int, lo, hi) -> list:
 
 
 def _max_clique(nodes: int, neighbors, bound: int | None = None) -> list:
-    """A maximum clique, by branch and bound over the nodes in descending
-    degree order. ``bound``, a proven upper bound on the clique size, ends
-    the search once a clique reaches it: ``best`` is replaced only by a
-    strictly larger clique, so the one found is the unbounded search's."""
+    """The lexicographically least maximum clique, as ascending indices.
+
+    A depth-first search over increasing index sequences reaches cliques in
+    lexicographic order, and ``best`` is replaced only by a strictly larger
+    clique, so the first maximum clique it reaches is the least one.
+    ``neighbors[v]``, the neighbour set of v, may be anything indexable by
+    vertex; only the vertices the search expands are read. ``bound``, a
+    proven upper bound on the clique size, ends the search once a clique
+    reaches it: that clique is then the unbounded search's."""
     best = [0] if nodes else []
     bound = nodes if bound is None else bound
 
     def expand(cur, cands):
+        # cands: the common neighbours of cur past its last vertex, ascending
         nonlocal best
         if not cands:
             if len(cur) > len(best):
                 best = list(cur)
             return
-        cands = set(cands)
-        while cands:
-            if len(cur) + len(cands) <= len(best) or len(best) >= bound:
+        for i, v in enumerate(cands):
+            if len(cur) + len(cands) - i <= len(best) or len(best) >= bound:
                 return
-            v = cands.pop()
+            adjacent = neighbors[v]
             cur.append(v)
-            expand(cur, cands & neighbors[v])
+            expand(cur, [u for u in cands[i + 1:] if u in adjacent])
             cur.pop()
 
-    order = sorted(range(nodes), key=lambda v: -len(neighbors[v]))
-    remaining = set(range(nodes))
-    for v in order:
-        if len(best) >= bound:
+    for v in range(nodes):
+        # a clique rooted at v holds at most v and the nodes past it
+        if len(best) >= min(bound, nodes - v):
             break
-        if 1 + len(neighbors[v] & remaining) <= len(best):
-            remaining.discard(v)
-            continue
-        expand([v], neighbors[v] & remaining)
-        remaining.discard(v)
-    return sorted(best)
+        cands = sorted(u for u in neighbors[v] if u > v)
+        if len(cands) >= len(best):
+            expand([v], cands)
+    return best
 
 
 #: levels n scanned; the scan ends once S^{-n} shrinks the box past the zeros
@@ -327,22 +354,25 @@ PAIRWISE_CAP = 1500
 def max_orthogonal_family(
     sys: AffineSystem, grid, zeros: ZeroSet | None = None
 ) -> FamilyReport:
-    """A maximum orthogonal subfamily of {e_g : g in grid}.
+    """A maximum orthogonal subfamily of {e_g : g in grid}: of all of them,
+    the lexicographically least in grid order (``_max_clique``).
 
     With a certified-complete finite zero set the certified-orthogonal
     differences inside the grid's difference box are enumerated directly
     (zeros pushed forward by S^n) and a maximum clique is taken over the
-    resulting graph -- that is the exact maximum. For integral R the
-    clique search stops at the finite-orbit bound (``finite_bound``;
-    Jorgensen and Pedersen, J. Anal. Math. 75 (1998)): if the S-invariant
-    closure of the zeros avoids 0, no orthogonal family exceeds its size
-    plus one. Otherwise every grid pair is certified individually;
+    resulting graph -- that is the exact maximum. A point's neighbours are
+    built only when the search expands it. For integral R the clique
+    search stops at the finite-orbit bound (``finite_bound``; Jorgensen
+    and Pedersen, J. Anal. Math. 75 (1998)): if the S-invariant closure of
+    the zeros avoids 0, no orthogonal family exceeds its size plus one.
+    Otherwise every grid pair is certified individually;
     undetermined pairs count as non-edges and downgrade the result to a
     certified lower bound.
     """
     lat = FrequencyLattice(grid)
     grid, keys = lat.points, lat.keys
-    if any(len(g) != sys.dim for g in grid):
+    # the lattice refuses ragged points, so one length stands for all
+    if grid and len(lat.spans) != sys.dim:
         raise ValueError("dimension mismatch")
     if len(set(keys)) != len(keys):
         raise ValueError("grid has repeated points")

@@ -1,10 +1,18 @@
 """End-to-end CLI tests: exit codes, JSON envelopes, CSV side outputs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aifs
 from aifs.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -479,3 +487,27 @@ def test_verify_onb_on_an_empty_spectrum(capsys, tmp_path):
     rep = body["verify_onb"]
     assert rep["size"] == rep["pairs"] == 0
     assert rep["q_min"] == rep["q_max"] == 0.0
+
+
+# ---------------------------------------------------------------- package
+
+
+def test_version_literal_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+    assert aifs.__version__ == version
+
+
+def test_cli_import_leaves_package_metadata_unloaded():
+    code = (
+        "import sys; before = set(sys.modules); import aifs.cli; "
+        "print('importlib.metadata' in set(sys.modules) - before)"
+    )
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -541,6 +541,25 @@ def test_clique_bound_keeps_the_unbounded_clique(graph):
         assert verify._max_clique(n, neighbors, bound) == clique
 
 
+def least_maximum_clique(n, neighbors) -> list:
+    """The first maximum clique in lexicographic order, by brute force."""
+    for size in range(n, 0, -1):
+        for clique in combinations(range(n), size):
+            if all(j in neighbors[i] for i, j in combinations(clique, 2)):
+                return list(clique)
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_clique_search_returns_the_least_maximum_clique(graph):
+    n, neighbors = graph
+    want = least_maximum_clique(n, neighbors)
+    # unbounded, and with any true upper bound, tight or not
+    for bound in (None, len(want), len(want) + 1, n):
+        assert verify._max_clique(n, neighbors, bound) == want
+
+
 @st.composite
 def bounded_family_cases(draw):
     """A d = 1 system with integer R and digits, its complete finite zero
@@ -605,6 +624,47 @@ def test_family_search_runs_unbounded_past_the_closure_cap(monkeypatch):
     assert bounds == [None] and rep.size == 2
 
 
+class RecordingNeighbors:
+    """Neighbour sets that record which vertices the search reads."""
+
+    def __init__(self, neighbors):
+        self.neighbors, self.read = neighbors, set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return self.neighbors[v]
+
+
+def test_bounded_family_search_reads_few_neighbour_sets(monkeypatch):
+    reads, search = [], verify._max_clique
+
+    def recording(nodes, neighbors, bound=None):
+        neighbors = RecordingNeighbors(neighbors)
+        reads.append(neighbors.read)
+        return search(nodes, neighbors, bound)
+
+    monkeypatch.setattr(verify, "_max_clique", recording)
+    grid = rational_grid_1d(54, -27, 27)
+    rep = max_orthogonal_family(sys1d(3, [0, 1]), grid)
+    assert rep.size == 2 and rep.certified_maximum
+    # the orbit bound 2 is met at the first edge, from the first point
+    (read,) = reads
+    assert 1 <= len(read) <= 4 < len(grid)
+
+
+@pytest.mark.parametrize(
+    "max_den, half, family",
+    [
+        (54, 27, ((Fraction(-27),), (Fraction(-51, 2),))),  # criterion 5
+        (6, 9, ((Fraction(-9),), (Fraction(-15, 2),))),  # d1-p3's family check
+    ],
+)
+def test_reported_family_is_the_least_in_grid_order(max_den, half, family):
+    grid = rational_grid_1d(max_den, -half, half)
+    rep = max_orthogonal_family(sys1d(3, [0, 1]), grid)
+    assert rep.family == family
+
+
 def test_frequency_lattice_keys_determine_differences():
     lat = verify.FrequencyLattice(
         [(Fraction(1, 2), 3), (0, -1), (Fraction(-3, 2), 0)]
@@ -617,7 +677,8 @@ def test_frequency_lattice_keys_determine_differences():
     # (0, -1) - (1/2, 3) joins points 0 and 1; (1/3, 0) is off the lattice,
     # and (0, 9/2) spans more than the 8/2 of the second coordinate
     diffs = [(Fraction(1, 3), 0), (0, Fraction(9, 2)), (Fraction(-1, 2), -4)]
-    assert lat.neighbors(diffs) == [{1}, set(), set()]
+    neighbors = lat.neighbors(diffs)
+    assert [neighbors[i] for i in range(3)] == [{1}, set(), set()]
 
 
 # ---------------------------------------------------------------- pair memo
