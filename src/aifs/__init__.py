@@ -31,13 +31,11 @@ from .fourier import (
     normalization_residual,
 )
 from .hadamard import (
-    DualPair,
     HadamardTriple,
     check_hadamard,
     conjecture_probe,
     conjugate_system,
     covariance_residual,
-    make_dual_pair,
 )
 from .ifs_core import AffineSystem, attractor, bounding_box
 from .linalg_exact import Matrix, check_expansive, contraction_data, frac, fvec
@@ -64,7 +62,6 @@ __all__ = [
     "AifsError",
     "Analysis",
     "BudgetExceeded",
-    "DualPair",
     "ExactnessUnavailable",
     "HadamardTriple",
     "Matrix",
@@ -94,7 +91,6 @@ __all__ = [
     "fvec",
     "has_zero_weighted",
     "invariance_residual",
-    "make_dual_pair",
     "max_orthogonal_family",
     "min_sum_report",
     "mu_hat_grid",

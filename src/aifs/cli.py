@@ -73,7 +73,10 @@ def _load_analysis(args):
 
 
 def _parse_point(text: str):
-    return fvec([c.strip() for c in text.split(",")])
+    try:
+        return fvec([c.strip() for c in text.split(",")])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise AifsError("bad --x value %r: %s" % (text, exc)) from None
 
 
 def _int_at_least(low: int):

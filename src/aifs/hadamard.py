@@ -83,28 +83,6 @@ def check_hadamard(r: Matrix, b_digits, l_digits) -> HadamardTriple:
     )
 
 
-@dataclass(frozen=True)
-class DualPair:
-    """A certified triple packaged as its two working systems: the geometry
-    (R, B) carrying the measure, and the dual (R^T, L) whose contractions
-    and cycles organise candidate spectra."""
-
-    triple: HadamardTriple
-    sys_geom: AffineSystem
-    sys_dual: AffineSystem
-
-
-def make_dual_pair(sys_geom: AffineSystem, l_digits) -> DualPair:
-    triple = check_hadamard(sys_geom.R, sys_geom.digits, l_digits)
-    if not triple.certified:
-        raise ValueError(
-            "not a certified compatible pair (float defect %.3g)" % triple.defect
-        )
-    return DualPair(
-        triple=triple, sys_geom=sys_geom, sys_dual=sys_geom.dual(triple.l_digits)
-    )
-
-
 # ---------------------------------------------------------------------------
 # change of variables
 
@@ -212,16 +190,17 @@ def conjecture_probe(
     Parseval sums. Finite-level evidence only -- never a proof -- and the
     report says so.
     """
-    pair = make_dual_pair(sys_geom, l_digits)
-    b, l = pair.triple.b_digits, pair.triple.l_digits
+    triple = check_hadamard(sys_geom.R, sys_geom.digits, l_digits)
+    if not triple.certified:
+        raise ValueError(
+            "not a certified compatible pair (float defect %.3g)" % triple.defect
+        )
     # the swap (R^T, L, B) analyses the dual, whose own dual is (R, B) again
-    sides = [
-        ("R,B,L", Analysis(sys_geom, l, PROBE_MAX_PERIOD, via="words")),
-        ("R^T,L,B", Analysis(pair.sys_dual, b, PROBE_MAX_PERIOD, via="words")),
-    ]
+    first = Analysis(sys_geom, triple.l_digits, PROBE_MAX_PERIOD, via="words")
+    swap = Analysis(first.dual, triple.b_digits, PROBE_MAX_PERIOD, via="words")
     orientations = []
     rng = random.Random(PROBE_SEED)
-    for label, an in sides:
+    for label, an in (("R,B,L", first), ("R^T,L,B", swap)):
         lv = level if level is not None else _probe_level(an.dual.n_digits)
         spectrum = an.spectrum(lv)
         elements = spectrum.elements

@@ -18,17 +18,10 @@ from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, frac, fvec
 
 
-def frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
-        f.numerator,
-        f.denominator,
-    )
-
-
 def to_jsonable(x):
     """Recursively convert package objects to plain JSON values."""
     if isinstance(x, Fraction):
-        return frac_str(x)
+        return str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):

@@ -38,7 +38,6 @@ from .cycles_spectrum import (
 )
 from .errors import AifsError, BudgetExceeded
 from .fourier import _symbol, eval_symbol, integer_chain, mu_hat_grid, truncation_tail
-from .fourier import factor_chain  # noqa: F401  (re-exported)
 from .ifs_core import AffineSystem, simplex_system
 from .linalg_exact import Matrix, fvec, integer_rows, lattice_numerators, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros, finite_bound

@@ -489,6 +489,72 @@ def test_verify_onb_on_an_empty_spectrum(capsys, tmp_path):
     assert rep["q_min"] == rep["q_max"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["mu-hat", "orbit"])
+@pytest.mark.parametrize("x", ["1/0", "1/3,abc"])
+def test_malformed_point_is_one_usage_error(capsys, cantor4_file, command, x):
+    # a zero denominator fails with ZeroDivisionError, not ValueError
+    rc, body, err = run(capsys, command, cantor4_file, "--x", x)
+    assert rc == 2 and body is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad --x value")
+
+
+def catalog_system_file(tmp_path, name):
+    from aifs import catalog
+
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(catalog.load_entry(name)["system"]))
+    return str(path)
+
+
+def test_bound_distance_route(capsys, tmp_path):
+    # the zeros of d3-p3 are three families of lines, so the bound comes
+    # from their distance to the integer lattice, not from a finite orbit
+    rc, body, _ = run(capsys, "bound", catalog_system_file(tmp_path, "d3-p3"))
+    assert rc == 0
+    b = body["bound"]
+    assert b["route"] == "distance"
+    assert b["delta_sq"] == "1/4"
+    assert b["bound"] == 64
+    assert b["note"]
+
+
+def test_zeros_describes_its_families(capsys, tmp_path):
+    rc, body, _ = run(capsys, "zeros", catalog_system_file(tmp_path, "d3-p3"))
+    assert rc == 0
+    z = body["zeros"]
+    assert z["complete"] is True and z["points"] == []
+    assert z["families"] == [
+        {"pinned": "x1 = 1/2", "relation": "x3 = x2 + 1/2 (mod 1)"},
+        {"pinned": "x2 = 1/2", "relation": "x3 = x1 + 1/2 (mod 1)"},
+        {"pinned": "x3 = 1/2", "relation": "x2 = x1 + 1/2 (mod 1)"},
+    ]
+
+
+def test_zeros_unavailable_in_dimension_four(capsys, tmp_path):
+    path = catalog_system_file(tmp_path, "propdiv-p6-d4")
+    rc, body, _ = run(capsys, "zeros", path)
+    assert rc == 3
+    assert body["zeros"]["tag"] == "unavailable"
+    assert body["zeros"]["complete"] is False
+
+
+def test_verify_onb_not_orthogonal(capsys, tmp_path):
+    # the frequencies {0, 1} do not match the digits {0, 1} at scale 4:
+    # every pair of the level-2 spectrum {0, 1, 4, 5} fails
+    path = write_system(tmp_path, {
+        "matrix": [["4"]], "digits": [["0"], ["1"]],
+        "frequencies": [["0"], ["1"]],
+    })
+    rc, body, _ = run(capsys, "verify-onb", path, "--level", "2")
+    assert rc == 1
+    v = body["verify_onb"]
+    assert v["size"] == 4
+    assert v["pairs"] == v["not_orthogonal"] == 6
+    assert v["certified"] == v["undetermined"] == 0
+    assert v["verdict"] == "not-orthogonal"
+
+
 # ---------------------------------------------------------------- package
 
 
@@ -511,3 +577,11 @@ def test_cli_import_leaves_package_metadata_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_export_list_resolves():
+    missing = [name for name in aifs.__all__ if not hasattr(aifs, name)]
+    assert missing == []
+    namespace = {}
+    exec("from aifs import *", namespace)
+    assert set(aifs.__all__) <= set(namespace)

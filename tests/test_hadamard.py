@@ -14,7 +14,6 @@ from aifs.hadamard import (
     conjecture_probe,
     conjugate_system,
     covariance_residual,
-    make_dual_pair,
     sample_pairs,
 )
 from aifs.ifs_core import AffineSystem
@@ -97,18 +96,6 @@ def test_simplex_d2_triple_certified():
     )
     t = check_hadamard(r, b, l)
     assert t.certified and t.defect < 1e-12
-
-
-def test_make_dual_pair():
-    pair = make_dual_pair(CANTOR4, ((frac(0),), (frac(1),)))
-    assert pair.triple.certified
-    assert pair.sys_dual.R == CANTOR4.R.transpose()
-    assert pair.sys_dual.digits == ((Fraction(0),), (Fraction(1),))
-
-
-def test_make_dual_pair_requires_unitarity():
-    with pytest.raises(ValueError):
-        make_dual_pair(CANTOR4, ((frac(0),), (frac(2),)))
 
 
 def test_conjugate_system():

@@ -474,7 +474,7 @@ def test_integer_chain_matches_fraction_chain_bit_for_bit(case):
         got = None
     assert got == reference_eval_mu_hat(sys, x)
     for (n, y, den, sv, tail), (m, y_ref, sv_ref, tail_ref) in zip(
-        verify.factor_chain(sys, x, 12), reference_factor_chain(sys, x, 12)
+        fourier.factor_chain(sys, x, 12), reference_factor_chain(sys, x, 12)
     ):
         assert n == m
         assert tuple(Fraction(v, den) for v in y) == y_ref
