@@ -25,7 +25,6 @@ from .fourier import (
     TruncationPolicy,
     eval_mu_hat,
     eval_symbol,
-    eval_wb,
     invariance_residual,
     mu_hat_grid,
     normalization_residual,
@@ -84,7 +83,6 @@ __all__ = [
     "covariance_residual",
     "eval_mu_hat",
     "eval_symbol",
-    "eval_wb",
     "find_zeros",
     "finite_bound",
     "frac",

@@ -21,7 +21,6 @@ from .cycles_spectrum import extreme_cycles
 from .errors import AifsError
 from .fourier import invariance_residual, normalization_residual
 from .hadamard import check_hadamard, conjecture_probe
-from .ifs_core import simplex_digits, simplex_system  # noqa: F401 (re-exported)
 from .linalg_exact import frac, fvec
 from .serialize import frequencies_from_dict, system_from_dict, to_jsonable
 from .torus_dynamics import (
@@ -327,9 +326,6 @@ class EntryReport:
     ok: bool
     seconds: float
     checks: tuple
-
-    def as_dict(self) -> dict:
-        return to_jsonable(self)
 
 
 def run_entry(entry) -> EntryReport:

@@ -48,13 +48,9 @@ USAGE_ERRORS = (AifsError, ValueError, KeyError, OSError)
 LIMIT_ERRORS = (BudgetExceeded, ExactnessUnavailable)
 
 
-def _load_doc(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_system(path: str):
-    doc = _load_doc(path)
+    with open(path) as fh:
+        doc = json.load(fh)
     return doc, system_from_dict(doc), frequencies_from_dict(doc)
 
 
@@ -79,13 +75,17 @@ def _parse_point(text: str):
         raise AifsError("bad --x value %r: %s" % (text, exc)) from None
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError("must be at least %d" % low)
-        return int(text)
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+def _at_least(low, kind=int, strict: bool = False):
+    """An argparse type: a ``kind`` number no smaller than ``low`` (greater,
+    if ``strict``); a float NaN fails every comparison, so it is refused."""
+    def parse(text: str):
+        x = kind(text)
+        if not (x > low if strict else x >= low):
+            raise argparse.ArgumentTypeError(
+                "must be %s %s" % ("greater than" if strict else "at least", low)
+            )
+        return x
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
 
 
@@ -299,7 +299,7 @@ def _cmd_catalog(args):
     reports = catalog.run_all(names)
     ok = all(r.ok for r in reports)
     payload = {
-        "entries": [r.as_dict() for r in reports],
+        "entries": [to_jsonable(r) for r in reports],
         "ok": ok,
         "failed": [r.name for r in reports if not r.ok],
     }
@@ -330,19 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
     # the staged analysis behind cycles, spectrum and verify-onb
     analysis = argparse.ArgumentParser(add_help=False)
     analysis.add_argument("--via", choices=("box", "words"), default="box")
-    analysis.add_argument("--max-period", type=_int_at_least(1), default=12)
+    analysis.add_argument("--max-period", type=_at_least(1), default=12)
 
     sp = add("check-hadamard", _cmd_check_hadamard,
              "certify a digit/frequency pair as a unitary symbol matrix")
     sp.add_argument("system", help="system JSON with a frequencies list")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_at_least(0, float), default=1e-9)
 
     sp = add("attractor", _cmd_attractor, "sample the attractor point cloud")
     sp.add_argument("system")
-    sp.add_argument("--depth", type=_int_at_least(0), default=CLOUD_DEPTH)
+    sp.add_argument("--depth", type=_at_least(0), default=CLOUD_DEPTH)
     sp.add_argument("--chaos", action="store_true",
                     help="seeded random orbit instead of full words")
-    sp.add_argument("--count", type=_int_at_least(1), default=4096,
+    sp.add_argument("--count", type=_at_least(1), default=4096,
                     help="points in chaos mode")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", help="write the cloud to this CSV file")
@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
              "evaluate the measure transform with certified error")
     sp.add_argument("system")
     sp.add_argument("--x", required=True, help='point, e.g. "1/3,2/5"')
-    sp.add_argument("--max-terms", type=_int_at_least(1), default=64)
-    sp.add_argument("--tail", type=float, default=1e-12)
+    sp.add_argument("--max-terms", type=_at_least(1), default=64)
+    sp.add_argument("--tail", type=_at_least(0, float, strict=True), default=1e-12)
 
     sp = add("zeros", _cmd_zeros, "zero set of the symbol on the torus")
     sp.add_argument("system")
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
              "orbit of a point under the transposed integer action")
     sp.add_argument("system")
     sp.add_argument("--x", required=True)
-    sp.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
+    sp.add_argument("--max-iter", type=_at_least(1), default=100_000)
 
     sp = add("bound", _cmd_bound,
              "bound the size of mutually orthogonal exponential families")
@@ -369,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("dn", _cmd_dn,
              "scaled minima of unit sums at scales p^n (obstruction scan)")
-    sp.add_argument("--p", type=_int_at_least(2), required=True)
-    sp.add_argument("--d", type=_int_at_least(1), required=True)
-    sp.add_argument("--n-max", type=_int_at_least(1), default=3)
+    sp.add_argument("--p", type=_at_least(2), required=True)
+    sp.add_argument("--d", type=_at_least(1), required=True)
+    sp.add_argument("--n-max", type=_at_least(1), default=3)
 
     sp = add("cycles", _cmd_cycles, "extreme cycles of the dual system",
              [analysis])
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("spectrum", _cmd_spectrum,
              "candidate spectrum generated from extreme cycles", [analysis])
     sp.add_argument("system")
-    sp.add_argument("--level", type=_int_at_least(0), required=True)
+    sp.add_argument("--level", type=_at_least(0), required=True)
     sp.add_argument("--csv")
     sp.add_argument("--print-cap", type=int, default=4096,
                     help="omit elements from JSON above this size")
@@ -389,15 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
              "certify pairwise orthogonality and Parseval completeness",
              [analysis])
     sp.add_argument("system")
-    sp.add_argument("--level", type=_int_at_least(0), required=True)
-    sp.add_argument("--samples", type=_int_at_least(1), default=16)
+    sp.add_argument("--level", type=_at_least(0), required=True)
+    sp.add_argument("--samples", type=_at_least(1), default=16)
 
     sp = add("probe-conjecture", _cmd_probe,
              "experimental two-sided spectral-pair probe")
     sp.add_argument("system")
-    sp.add_argument("--level", type=_int_at_least(0), default=None)
-    sp.add_argument("--samples", type=_int_at_least(1), default=16)
-    sp.add_argument("--pair-budget", type=_int_at_least(1), default=300)
+    sp.add_argument("--level", type=_at_least(0), default=None)
+    sp.add_argument("--samples", type=_at_least(1), default=16)
+    sp.add_argument("--pair-budget", type=_at_least(1), default=300)
 
     sp = add("catalog", _cmd_catalog, "run the bundled example catalog")
     sp.add_argument("action", choices=("list", "run"))

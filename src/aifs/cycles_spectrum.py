@@ -30,8 +30,6 @@ from .ifs_core import AffineSystem, bounding_box
 from .linalg_exact import Matrix, fvec, int_mat_vec, int_rows, integer_rows
 from .linalg_exact import vec_add, vec_sub
 
-Vec = tuple
-
 
 def _xgcd(a: int, b: int):
     old_r, r = a, b
@@ -259,9 +257,11 @@ def find_cycles_in_box(
     return sorted(cycles.values(), key=lambda r: r.points)
 
 
-def find_cycles_by_words(
-    sys_dual: AffineSystem, max_period: int = 6, budget: int = 2_000_000
-) -> list:
+#: digit words, of every length up to the period, one word scan may cover
+WORD_BUDGET = 2_000_000
+
+
+def find_cycles_by_words(sys_dual: AffineSystem, max_period: int = 6) -> list:
     """Cycles of x -> S x - l found through digit words.
 
     A word (l_1 ... l_m) has exactly one periodic point,
@@ -276,15 +276,15 @@ def find_cycles_by_words(
     prefix sums A_k = T A_{k-1} + a^k L_{w_k} are shared along the word
     trie, the fixed point is J A_m / D with J = e (S^m - I)^{-1} integral and
     D = e c a^m, and the rest of the cycle keeps that denominator. Fractions
-    are built only for the returned records. The budget guard still counts
-    all N^m words. A word whose orbit revisits a point strings shorter
+    are built only for the returned records. The ``WORD_BUDGET`` guard still
+    counts all N^m words. A word whose orbit revisits a point strings shorter
     cycles together and is skipped; an orbit that fails to close raises
     RuntimeError, since that can only be a bug.
     """
     n = sys_dual.n_digits
     d = sys_dual.dim
-    if sum(n**m for m in range(1, max_period + 1)) > budget:
-        raise BudgetExceeded("word scan would be larger than %d" % budget)
+    if sum(n**m for m in range(1, max_period + 1)) > WORD_BUDGET:
+        raise BudgetExceeded("word scan would be larger than %d" % WORD_BUDGET)
     s = sys_dual.R
     a, t = integer_rows(s.rows)
     c, digits = integer_rows(sys_dual.digits)

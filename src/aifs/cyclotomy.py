@@ -145,11 +145,11 @@ def _vanishes(terms: dict, q: int, primes: list) -> bool:
     return True
 
 
-def vanishing_sum(weights, phases, q_cap: int = Q_CAP) -> bool:
+def vanishing_sum(weights, phases) -> bool:
     """Exactly decide whether sum_j weights[j] * e^{2 pi i phases[j]} == 0.
 
     weights and phases are rationals (anything Fraction accepts). Raises
-    ExactnessUnavailable when the common phase denominator exceeds q_cap
+    ExactnessUnavailable when the common phase denominator exceeds Q_CAP
     even after the first term's phase is rotated out of every phase.
     """
     acc = {}
@@ -159,14 +159,14 @@ def vanishing_sum(weights, phases, q_cap: int = Q_CAP) -> bool:
         if w:
             terms.append((w, a if isinstance(a, (int, Fraction)) else Fraction(a)))
     q = lcm(1, *[a.denominator for _, a in terms])
-    if q > q_cap:
+    if q > Q_CAP:
         # e(-a_0) is a unit: the rotated sum vanishes exactly when this does
         a0 = terms[0][1]
         terms = [(w, a - a0) for w, a in terms]
         q = lcm(1, *[a.denominator for _, a in terms])
-        if q > q_cap:
+        if q > Q_CAP:
             raise ExactnessUnavailable(
-                "common denominator %d exceeds cap %d" % (q, q_cap)
+                "common denominator %d exceeds cap %d" % (q, Q_CAP)
             )
     wden = lcm(*[w.denominator for w, _ in terms])
     # integer numerators over q and wden; % q takes each phase mod 1

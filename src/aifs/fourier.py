@@ -89,17 +89,10 @@ def _symbol(sys: AffineSystem, y, den: int) -> tuple:
     return (0j if zero else val), zero, certified
 
 
-def eval_symbol(sys: AffineSystem, x, den: int = 1) -> SymbolValue:
-    """Evaluate m(x / den) at a rational x with an exact zero/non-zero
-    certificate; float points raise TypeError (``eval_symbol_float``
-    evaluates those)."""
-    return SymbolValue(*_symbol(sys, *lattice_numerators(x, sys.dim, den)))
-
-
-def eval_symbol_float(sys: AffineSystem, y: np.ndarray) -> complex:
-    b = np.array([[float(c) for c in d] for d in sys.digits])
-    w = np.array([float(x) for x in sys.weights])
-    return complex(np.exp(2j * np.pi * (b @ y)) @ w)
+def eval_symbol(sys: AffineSystem, x) -> SymbolValue:
+    """Evaluate m(x) at a rational x with an exact zero/non-zero
+    certificate; float points raise TypeError."""
+    return SymbolValue(*_symbol(sys, *lattice_numerators(x, sys.dim)))
 
 
 def is_symbol_unimodular(sys: AffineSystem, x) -> bool:
@@ -109,11 +102,6 @@ def is_symbol_unimodular(sys: AffineSystem, x) -> bool:
     the unit vectors coincide, i.e. all phases b.x agree mod 1.
     """
     return len(set(_phase_residues(sys, x, 1)[0])) == 1
-
-
-def eval_wb(sys: AffineSystem, x) -> float:
-    sv = eval_symbol(sys, x)
-    return abs(sv.value) ** 2
 
 
 @dataclass(frozen=True)
@@ -148,6 +136,15 @@ def truncation_tail(sys: AffineSystem, xnorm: float):
     return tail
 
 
+def float_norm(y, den: int) -> float:
+    """|y / den| for an integer vector y, or math.inf when it overflows a
+    float: an infinite ``truncation_tail`` is never met."""
+    try:
+        return math.hypot(*[v / den for v in y])
+    except OverflowError:
+        return math.inf
+
+
 def integer_chain(sys: AffineSystem, y, den: int, terms: int):
     """Yield (n, Y_n, D_n) for n = 1..terms, S^{-n}(y / den) = Y_n / D_n in
     integers: Y_n = A Y_{n-1} and D_n = e D_{n-1} for S^{-1} = A / e."""
@@ -165,7 +162,7 @@ def factor_chain(sys: AffineSystem, x, terms: int, den: int = 1):
     ``integer_chain``, and the ``truncation_tail`` bound tail_n on how far
     the factors past n move the product from 1."""
     y, den = lattice_numerators(x, sys.dim, den)
-    tail_at = truncation_tail(sys, math.hypot(*[v / den for v in y]) or 1.0)
+    tail_at = truncation_tail(sys, float_norm(y, den) or 1.0)
     for n, y, den in integer_chain(sys, y, den, terms):
         yield n, y, den, SymbolValue(*_symbol(sys, y, den)), tail_at(n)
 
@@ -238,13 +235,15 @@ def normalization_residual(sys_b: AffineSystem, sys_l: AffineSystem, x) -> float
     """|sum_l W_B(sigma_l(x)) - 1| where sigma_l are the contractions of the
     dual system (R^T, L). Identically zero exactly when the digit matrix is
     unitary (the transfer operator fixes the constant 1). A float diagnostic:
-    x is taken to floats and the symbol evaluated by ``eval_symbol_float``."""
+    x, the digits and the weights are taken to floats."""
     if len(x) != sys_b.dim:
         raise ValueError("dimension mismatch")
     rinv = sys_l.r_inverse.to_float()
     xf = np.asarray([float(c) for c in x])
-    total = sum(
-        abs(eval_symbol_float(sys_b, rinv @ (xf + np.array(l, dtype=float)))) ** 2
-        for l in sys_l.digits
-    )
+    bmat = np.array([[float(c) for c in d] for d in sys_b.digits])
+    wvec = np.array([float(w) for w in sys_b.weights])
+    total = 0.0
+    for l in sys_l.digits:
+        y = rinv @ (xf + np.array(l, dtype=float))
+        total += abs(complex(np.exp(2j * np.pi * (bmat @ y)) @ wvec)) ** 2
     return abs(total - 1.0)

@@ -26,12 +26,9 @@ from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, fvec, vec_dot, vec_sub
 from .verify import Analysis, FrequencyLattice, completeness_q
 
-Vec = tuple
-
 
 @dataclass(frozen=True)
 class HadamardTriple:
-    R: Matrix
     b_digits: tuple
     l_digits: tuple
     defect: float  # max |(H* H - I)_{jk}|, float instrumentation
@@ -78,8 +75,7 @@ def check_hadamard(r: Matrix, b_digits, l_digits) -> HadamardTriple:
     except ExactnessUnavailable:
         certified = False
     return HadamardTriple(
-        R=r, b_digits=b_digits, l_digits=l_digits,
-        defect=defect, certified=certified,
+        b_digits=b_digits, l_digits=l_digits, defect=defect, certified=certified
     )
 
 

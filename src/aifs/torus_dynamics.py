@@ -303,7 +303,6 @@ def is_invariant(s: Matrix, points) -> bool:
 
 @dataclass(frozen=True)
 class FiniteBoundReport:
-    closure: tuple
     size: int
     bound: int | None  # None when 0 lies in the closure
     contains_zero: bool
@@ -320,7 +319,6 @@ def finite_bound(s: Matrix, zero_points) -> FiniteBoundReport:
     zero = tuple(Fraction(0) for _ in range(s.n))
     contains = zero in closure
     return FiniteBoundReport(
-        closure=tuple(sorted(closure)),
         size=len(closure),
         bound=None if contains else len(closure) + 1,
         contains_zero=contains,

@@ -37,7 +37,8 @@ from .cycles_spectrum import (
     spectrum_from_cycles,
 )
 from .errors import AifsError, BudgetExceeded
-from .fourier import _symbol, eval_symbol, integer_chain, mu_hat_grid, truncation_tail
+from .fourier import _symbol, eval_symbol, float_norm, integer_chain, mu_hat_grid
+from .fourier import truncation_tail
 from .ifs_core import AffineSystem, simplex_system
 from .linalg_exact import Matrix, fvec, integer_rows, lattice_numerators, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros, finite_bound
@@ -107,8 +108,7 @@ def orthogonal_pair(
         if not all_factors_certified:
             continue
         if tail_at is None:
-            xnorm = math.hypot(*[v / k for v in delta]) or 1.0
-            tail_at = truncation_tail(sys, xnorm)
+            tail_at = truncation_tail(sys, float_norm(delta, k) or 1.0)
         # the product of the factors past n is within 0.999 of 1: not zero
         if tail_at(n) < 0.999:
             return _NOT_ORTHOGONAL

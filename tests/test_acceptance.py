@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from aifs.catalog import simplex_digits, simplex_spectrum_digits, simplex_system
+from aifs.catalog import simplex_spectrum_digits
 from aifs.cycles_spectrum import extreme_cycles, spectrum_from_cycles
 from aifs.fourier import TruncationPolicy
 from aifs.hadamard import check_hadamard, conjecture_probe, covariance_residual
-from aifs.ifs_core import AffineSystem
+from aifs.ifs_core import AffineSystem, simplex_digits, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec
 from aifs.torus_dynamics import (
     find_zeros,

@@ -11,11 +11,11 @@ from aifs.catalog import (
     load_entry,
     run_all,
     run_entry,
-    simplex_digits,
     simplex_spectrum_digits,
-    simplex_system,
 )
 from aifs.errors import AifsError
+from aifs.ifs_core import simplex_digits, simplex_system
+from aifs.serialize import to_jsonable
 from aifs.torus_dynamics import find_zeros
 
 EXPECTED_NAMES = [
@@ -69,7 +69,7 @@ def test_run_all_smoke():
     reps = run_all(names=["cantor4", "d1-p2"])
     assert [r.name for r in reps] == ["cantor4", "d1-p2"]
     assert all(r.ok for r in reps)
-    d = reps[0].as_dict()
+    d = to_jsonable(reps[0])
     assert d["name"] == "cantor4"
     assert all(c["ok"] for c in d["checks"])
 
@@ -123,6 +123,21 @@ def test_collinear_spectrum_digits():
     )
     with pytest.raises(ValueError):
         collinear_spectrum_digits(7, 2)
+
+
+def test_unknown_and_crashing_checks_fail_the_entry():
+    doc = {
+        "name": "scale-5/2",
+        "system": {"matrix": [["5/2"]], "digits": [["0"], ["1"]]},
+        "checks": [{"kind": "no-such-kind"}, {"kind": "finite_bound"}],
+    }
+    rep = run_entry(doc)
+    assert not rep.ok
+    assert [(c.kind, c.ok, c.detail) for c in rep.checks] == [
+        ("no-such-kind", False, {"error": "unknown check kind"}),
+        ("finite_bound", False,
+         {"error": "ValueError: torus dynamics needs an integer matrix"}),
+    ]
 
 
 def test_entry_searches_its_zeros_once(monkeypatch):

@@ -93,6 +93,20 @@ def test_check_hadamard_rotates_out_a_phase_over_the_cap(capsys, tmp_path):
     assert body["hadamard"]["certified"] is True
 
 
+def test_check_hadamard_without_a_certificate_past_the_cap(capsys, tmp_path):
+    # R^{-1}B = {0, 1000000/2000001}: the phase denominator stays over Q_CAP,
+    # so nothing is certified, while the float defect is within --tol
+    path = write_system(tmp_path, {
+        "matrix": [["2000001/1000000"]], "digits": [["0"], ["1"]],
+        "frequencies": [["0"], ["1"]],
+    })
+    rc, body, _ = run(capsys, "check-hadamard", path, "--tol", "1e-6")
+    assert rc == 3
+    h = body["hadamard"]
+    assert h["certified"] is False and h["ok"] is False
+    assert h["defect"] == pytest.approx(7.85e-7, rel=1e-3)
+
+
 def test_check_hadamard_requires_frequencies(capsys, tmp_path):
     path = tmp_path / "nofreq.json"
     path.write_text(json.dumps({"matrix": [["4"]], "digits": [["0"], ["2"]]}))
@@ -146,6 +160,21 @@ def test_mu_hat_budget_exhaustion_is_limit(capsys, cantor4_file):
     assert rc == 3
     assert body is None
     assert err.startswith("limit:")
+
+
+def test_mu_hat_past_the_float_range(capsys, tmp_path):
+    # |x| = 10^400 overflows a float, so the tail bound is infinite: the
+    # factors m(10^400 / 4^n) are all 1 and 64 terms meet no tail bound,
+    # while at 10^400 + 2 the first factor is an exact zero
+    path = write_system(tmp_path, {"matrix": [["4"]], "digits": [["0"], ["1"]]})
+    rc, body, err = run(capsys, "mu-hat", path, "--x", "1e400")
+    assert rc == 3 and body is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("limit: tail bound")
+    rc, body, _ = run(capsys, "mu-hat", path, "--x", str(10**400 + 2))
+    assert rc == 0
+    assert body["mu_hat"]["exact_zero"] is True
+    assert body["mu_hat"]["terms_used"] == 1
 
 
 def test_attractor_csv(capsys, cantor4_file, tmp_path):
@@ -373,6 +402,11 @@ def test_malformed_frequency_names_its_field(capsys, tmp_path):
         ["dn", "--p", "x", "--d", "2"],
         ["mu-hat", "SYS", "--x", "1/3", "--max-terms", "0"],
         ["orbit", "SYS", "--x", "1/3", "--max-iter", "0"],
+        ["mu-hat", "SYS", "--x", "1/3", "--tail", "-1"],
+        ["mu-hat", "SYS", "--x", "1/3", "--tail", "nan"],
+        ["mu-hat", "SYS", "--x", "1/3", "--tail", "0"],
+        ["check-hadamard", "SYS", "--tol", "nan"],
+        ["check-hadamard", "SYS", "--tol", "-1"],
     ],
 )
 def test_out_of_range_counts_are_rejected_by_the_parser(capsys, cantor4_file, argv):
@@ -388,6 +422,9 @@ def test_count_flags_accept_their_lower_bound(capsys, cantor4_file):
     assert rc == 0 and body["spectrum"]["level"] == 0
     rc, body, _ = run(capsys, "dn", "--p", "2", "--d", "1", "--n-max", "1")
     assert rc == 0 and body["min_sum"]["p"] == 2
+    # parsed: the rounding defect of a certified pair is over a zero tolerance
+    rc, body, _ = run(capsys, "check-hadamard", cantor4_file, "--tol", "0")
+    assert rc in (0, 1) and body["hadamard"]["certified"] is True
 
 
 @pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1]"])
@@ -517,6 +554,18 @@ def test_bound_distance_route(capsys, tmp_path):
     assert b["delta_sq"] == "1/4"
     assert b["bound"] == 64
     assert b["note"]
+
+
+def test_bound_refuses_zero_circles_at_an_even_scale(capsys, tmp_path):
+    # d3-p4 (scalar 4) has zero circles, but the distance route needs the
+    # pinned 1/2 coordinate that only an odd scalar keeps
+    rc, body, err = run(capsys, "bound", catalog_system_file(tmp_path, "d3-p4"))
+    assert rc == 2 and body is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: distance bound for zero continua is only available for odd "
+        "scalar matrices"
+    )
 
 
 def test_zeros_describes_its_families(capsys, tmp_path):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aifs.catalog import load_entry, simplex_spectrum_digits, simplex_system
+from aifs import cycles_spectrum
+from aifs.catalog import load_entry, simplex_spectrum_digits
 from aifs.cycles_spectrum import (
     LatticeBasis,
     _canonical,
@@ -22,7 +23,7 @@ from aifs.cycles_spectrum import (
     spectrum_from_cycles,
 )
 from aifs.errors import BudgetExceeded, RankDeficient
-from aifs.ifs_core import AffineSystem
+from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_sub
 from aifs.serialize import frequencies_from_dict, system_from_dict
 
@@ -293,11 +294,13 @@ def test_word_cycle_records_satisfy_defining_relation(dual):
     assert_defining_relation(dual, records)
 
 
-def test_word_scan_budget_guard_counts_all_words():
+def test_word_scan_budget_guard_counts_all_words(monkeypatch):
     # 2 + 4 + 8 + 16 = 30 words up to period 4
-    assert find_cycles_by_words(CANTOR4_DUAL, max_period=4, budget=30)
+    monkeypatch.setattr(cycles_spectrum, "WORD_BUDGET", 30)
+    assert find_cycles_by_words(CANTOR4_DUAL, max_period=4)
+    monkeypatch.setattr(cycles_spectrum, "WORD_BUDGET", 29)
     with pytest.raises(BudgetExceeded):
-        find_cycles_by_words(CANTOR4_DUAL, max_period=4, budget=29)
+        find_cycles_by_words(CANTOR4_DUAL, max_period=4)
 
 
 @pytest.mark.filterwarnings("ignore:digit set is not integral")

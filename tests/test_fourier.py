@@ -13,7 +13,6 @@ from aifs.fourier import (
     TruncationPolicy,
     eval_mu_hat,
     eval_symbol,
-    eval_wb,
     invariance_residual,
     is_symbol_unimodular,
     mu_hat_grid,
@@ -64,13 +63,6 @@ def test_unimodular_detection():
     # digits {0,2} at x=1/2: phases 0 and 1 agree mod 1 -> |m| = 1
     assert is_symbol_unimodular(CANTOR4, (Fraction(1, 2),))
     assert not is_symbol_unimodular(CANTOR4, (Fraction(1, 3),))
-
-
-def test_wb_is_squared_modulus():
-    x = (Fraction(2, 7),)
-    assert eval_wb(CANTOR4, x) == pytest.approx(
-        abs(eval_symbol(CANTOR4, x).value) ** 2
-    )
 
 
 def test_mu_hat_at_zero_is_one():

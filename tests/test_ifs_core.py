@@ -128,7 +128,7 @@ def test_complex_weights_are_cached_and_symbol_values_bit_identical():
             complex(w) * cmath.exp(2j * math.pi * (r / m))
             for w, r in zip(sys.weights, res)
         )
-        assert eval_symbol(sys, x, den).value == val
+        assert eval_symbol(sys, tuple(Fraction(v, den) for v in x)).value == val
 
 
 def test_attractor_within_bounding_box():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from aifs.errors import AifsError
 from aifs.fourier import eval_symbol
-from aifs.ifs_core import AffineSystem
+from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac
 from aifs.torus_dynamics import (
     DistanceBoundReport,
@@ -26,7 +26,6 @@ from aifs.torus_dynamics import (
     orbit_distance_bound,
     torus,
 )
-from aifs.catalog import simplex_system
 
 
 def sys1d(scale, digits, weights=()):

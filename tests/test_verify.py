@@ -732,6 +732,19 @@ def test_pair_next_to_a_zero_with_a_large_denominator_stays_undetermined(sys, z)
     assert reference_certificate(sys, lam, (0,) * sys.dim)[0] == "undetermined"
 
 
+def test_pair_whose_difference_overflows_a_float():
+    # |lam - lam'| = 10^400 is past the float range: the tail bound is
+    # infinite, so factors m(10^400 / 4^n) = 1 leave the pair undetermined,
+    # and at 10^400 + 1 the first factor is an exact zero
+    sys = sys1d(4, [0, 2])
+    assert orthogonal_pair(sys, (10**400,), (0,)).status == "undetermined"
+    rep = certify_all_pairs(sys, [(10**400,), (0,)])
+    assert rep.n_pairs == rep.undetermined == 1
+    assert orthogonal_pair(sys, (10**400 + 1,), (0,)).status == "certified"
+    assert fourier.float_norm((10**400,), 3) == math.inf
+    assert fourier.float_norm((3, -4), 7) == math.hypot(3 / 7, -4 / 7)
+
+
 # ---------------------------------------------------------------- zero memo
 
 
