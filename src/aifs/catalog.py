@@ -20,7 +20,7 @@ from itertools import combinations
 from .cycles_spectrum import extreme_cycles
 from .errors import AifsError
 from .fourier import invariance_residual, normalization_residual
-from .hadamard import check_hadamard, conjecture_probe
+from .hadamard import conjecture_probe
 from .linalg_exact import frac, fvec
 from .serialize import frequencies_from_dict, system_from_dict, to_jsonable
 from .torus_dynamics import (
@@ -34,7 +34,6 @@ from .torus_dynamics import (
 from .verify import (
     Analysis,
     block_root_family,
-    certify_all_pairs,
     completeness_q,
     halton_points,
     max_orthogonal_family,
@@ -121,7 +120,7 @@ def _register(kind):
 
 @_register("hadamard")
 def _chk_hadamard(an: Analysis, spec: dict):
-    triple = check_hadamard(an.sys.R, an.sys.digits, an.freqs)
+    triple = an.triple
     ok = triple.certified == spec.get("expect_certified", True)
     ok = ok and triple.defect <= spec.get("max_defect", 1e-12)
     return ok, {"certified": triple.certified, "defect": triple.defect}
@@ -213,8 +212,7 @@ def _chk_spectrum_range(an: Analysis, spec: dict):
 
 @_register("pairs_orthogonal")
 def _chk_pairs(an: Analysis, spec: dict):
-    ss = an.spectrum(spec["level"])
-    rep = certify_all_pairs(an.sys, ss.elements)
+    rep = an.pair_report(spec["level"])
     ok = rep.all_orthogonal == spec.get("expect_all", True)
     return ok, {
         "pairs": rep.n_pairs,

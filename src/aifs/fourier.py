@@ -155,13 +155,13 @@ def integer_chain(sys: AffineSystem, y, den: int, terms: int):
         yield n, y, den
 
 
-def factor_chain(sys: AffineSystem, x, terms: int, den: int = 1):
-    """Yield (n, Y_n, D_n, m(S^{-n} x'), tail_n) for n = 1..terms at the
-    rational x' = x / den: the factors of mu^(x') = prod_n m(S^{-n} x'),
-    each with its exact zero certificate, S^{-n} x' = Y_n / D_n as in
-    ``integer_chain``, and the ``truncation_tail`` bound tail_n on how far
-    the factors past n move the product from 1."""
-    y, den = lattice_numerators(x, sys.dim, den)
+def factor_chain(sys: AffineSystem, x, terms: int):
+    """Yield (n, Y_n, D_n, m(S^{-n} x), tail_n) for n = 1..terms at the
+    rational x: the factors of mu^(x) = prod_n m(S^{-n} x), each with its
+    exact zero certificate, S^{-n} x = Y_n / D_n as in ``integer_chain``,
+    and the ``truncation_tail`` bound tail_n on how far the factors past n
+    move the product from 1."""
+    y, den = lattice_numerators(x, sys.dim)
     tail_at = truncation_tail(sys, float_norm(y, den) or 1.0)
     for n, y, den in integer_chain(sys, y, den, terms):
         yield n, y, den, SymbolValue(*_symbol(sys, y, den)), tail_at(n)

@@ -427,6 +427,14 @@ def test_count_flags_accept_their_lower_bound(capsys, cantor4_file):
     assert rc in (0, 1) and body["hadamard"]["certified"] is True
 
 
+def test_check_hadamard_certified_is_ok_whatever_the_tolerance(capsys, cantor4_file):
+    # the float defect 2.2e-16 is over --tol 0, but the certificate is exact
+    rc, body, _ = run(capsys, "check-hadamard", cantor4_file, "--tol", "0")
+    assert rc == 0
+    h = body["hadamard"]
+    assert h["certified"] is True and h["ok"] is True and h["defect"] > 0
+
+
 @pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1]"])
 def test_system_file_must_hold_an_object(capsys, tmp_path, text):
     path = tmp_path / "bad.json"

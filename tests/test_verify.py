@@ -941,6 +941,84 @@ def test_period_two_cycle_spectrum_is_orthogonal():
     assert rep.n_pairs == rep.certified == 2016
 
 
+# ------------------------------------------- the every-level pair certificate
+
+
+def routed_pair_report(an, level):
+    """``an.pair_report(level)``, and whether it built the pair table over
+    the level's elements (the seed pairs behind the every-level flag are
+    certified before the spy is in place, so they never count)."""
+    an.orthogonal_every_level
+    calls = []
+
+    def spy(sys, frequencies):
+        calls.append(frequencies)
+        return certify_all_pairs(sys, frequencies)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "certify_all_pairs", spy)
+        rep = an.pair_report(level)
+    return rep, bool(calls)
+
+
+def assert_pair_report_is_the_table(an, structural):
+    for level in range(4):
+        oracle = certify_all_pairs(an.sys, an.spectrum(level).elements)
+        rep, used_table = routed_pair_report(an, level)
+        assert rep == oracle
+        assert an.orthogonal_every_level is structural
+        assert used_table is not structural
+
+
+FREQUENCY_ENTRIES = [
+    name for name in catalog.entry_names()
+    if "frequencies" in catalog.load_entry(name)["system"]
+]
+
+
+@pytest.mark.parametrize("name", FREQUENCY_ENTRIES)
+def test_pair_report_matches_the_table_on_catalog_entries(name):
+    doc = catalog.load_entry(name)["system"]
+    an = Analysis(system_from_dict(doc), frequencies_from_dict(doc))
+    # every bundled triple is integral, uniform and certified, with
+    # integral seeds whose pairs are orthogonal
+    assert_pair_report_is_the_table(an, structural=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3))
+def test_pair_report_matches_the_table_on_fourier_triples(n, k):
+    # R = N k, B = {0..N-1}, L = k {0..N-1}: the N-point Fourier matrix
+    an = Analysis(sys1d(n * k, range(n)), tuple((k * j,) for j in range(n)))
+    assert_pair_report_is_the_table(an, structural=True)
+
+
+@pytest.mark.parametrize("system, freqs", [
+    # a certified triple with weights 1/3, 2/3: m(1/4) = -1/3, not 0
+    (sys1d(4, [0, 2], [Fraction(1, 3), Fraction(2, 3)]), [0, 1]),
+    # the extreme fixed point 1/3 of x -> (x + 1) / 4 seeds -1/3
+    (sys1d(4, [0, 6]), [0, 1]),
+    # not a Hadamard triple (test_verify_onb_not_orthogonal's system)
+    (sys1d(4, [0, 1]), [0, 1]),
+    # three frequencies for two digits: no square matrix to certify
+    (CANTOR4, [0, 1, 4]),
+], ids=["weighted", "fractional-seed", "not-hadamard", "unequal-sizes"])
+def test_pair_report_takes_the_table_where_the_lemma_does_not_apply(
+    system, freqs
+):
+    an = Analysis(system, tuple((Fraction(v),) for v in freqs))
+    assert_pair_report_is_the_table(an, structural=False)
+
+
+def test_pair_report_refuses_a_spectrum_the_lemma_does_not_count():
+    an = Analysis(CANTOR4, ((Fraction(0),), (Fraction(1),)))
+    assert an.orthogonal_every_level
+    spectrum = an.spectrum(2)
+    an._spectra[2] = replace(spectrum, elements=spectrum.elements + ((Fraction(3),),))
+    with pytest.raises(RuntimeError, match="distinct addresses"):
+        an.pair_report(2)
+
+
 # ---------------------------------------------------------------- dimensions
 
 F = Fraction

@@ -1,10 +1,11 @@
 """Fingerprint the CLI's output over the bundled catalog.
 
 Runs ``aifs.cli.main`` in-process for every bundled entry and subcommand,
-plus ``catalog run all``, ``catalog list`` and ``dn``, and prints one line
-per run: a label and the sha256 of its exit code, stdout and stderr, with
-the ``"seconds"`` timing values masked. Two checkouts that print the same
-lines produce byte-identical reports apart from timing.
+plus ``verify-onb`` at the onb benchmark's sizes, ``catalog run all``,
+``catalog list`` and ``dn``, and prints one line per run: a label and the
+sha256 of its exit code, stdout and stderr, with the ``"seconds"`` timing
+values masked. Two checkouts that print the same lines produce
+byte-identical reports apart from timing.
 
     python tools/cli_snapshot.py > snapshot.txt
 
@@ -32,6 +33,9 @@ from aifs import catalog, cli  # noqa: E402
 #: a rational sample point per dimension
 POINTS = ("1/3", "1/3,2/5", "1/3,2/5,1/7", "1/3,2/5,1/7,3/11")
 SECONDS = re.compile(r'("seconds": )[-0-9.e+]+')
+#: (entry, level): the verify-onb runs of the onb benchmark workload, at
+#: their full size (256 to 1024 frequencies)
+ONB_RUNS = (("d3-p4", 4), ("d3-p2", 3), ("cantor4", 10))
 
 
 def entry_runs(path: str, dim: int) -> list:
@@ -73,6 +77,10 @@ def main() -> int:
                 ("%s:%s" % (name, label), argv)
                 for label, argv in entry_runs(path, len(doc["matrix"]))
             ]
+        for name, level in ONB_RUNS:
+            path = str(Path(tmp) / (name + ".json"))
+            runs.append(("%s:verify-onb-L%d" % (name, level),
+                         ["verify-onb", path, "--level", str(level)]))
         runs += [
             ("catalog-run-all", ["catalog", "run", "all"]),
             ("catalog-list", ["catalog", "list"]),
