@@ -147,12 +147,12 @@ def simplex_digits(d: int) -> tuple:
     return (zero,) + units
 
 
-def simplex_system(p: int, d: int, name: str = "") -> AffineSystem:
+def simplex_system(p: int, d: int) -> AffineSystem:
     """Scale p times the identity with the simplex digits."""
     return AffineSystem(
         R=Matrix.identity(d).scale(p),
         digits=simplex_digits(d),
-        name=name or "simplex-p%d-d%d" % (p, d),
+        name="simplex-p%d-d%d" % (p, d),
     )
 
 

@@ -51,8 +51,9 @@ def vec_dot(u: Vec, v: Vec) -> Fraction:
 
 
 def int_rows(rows, k: int) -> list:
-    """Integer rows k * row for rational (or int) rows that k clears."""
-    return [tuple(x.numerator * (k // x.denominator) for x in row) for row in rows]
+    """Integer rows k * row for rows that k clears; one division per denominator."""
+    factor = {den: k // den for den in {x.denominator for row in rows for x in row}}
+    return [tuple([x.numerator * factor[x.denominator] for x in row]) for row in rows]
 
 
 def integer_rows(rows) -> tuple:

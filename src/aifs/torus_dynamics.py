@@ -27,21 +27,14 @@ from .cyclotomy import vanishing_sum
 from .errors import AifsError, BudgetExceeded
 from .fourier import eval_symbol
 from .ifs_core import AffineSystem, simplex_digits
-from .linalg_exact import Matrix, frac, fvec
+from .linalg_exact import Matrix, frac, fvec, int_mat_vec, int_rows, integer_rows
 
 Vec = tuple
 
 
-def torus(v) -> Vec:
-    return tuple(frac(c) % 1 for c in v)
-
-
-def _dist_sq_to_lattice(x) -> Fraction:
-    total = Fraction(0)
-    for c in x:
-        f = frac(c) % 1
-        total += min(f, 1 - f) ** 2
-    return total
+def _dist_sq_to_lattice(q: int, points) -> list:
+    """Squared distances to Z^d of the x / q for the integer tuples x in ``points``."""
+    return [Fraction(sum(min(v % q, -v % q) ** 2 for v in x), q * q) for x in points]
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +242,19 @@ class OrbitResult:
         return self.points[self.preperiod:]
 
 
-def _require_integer(s: Matrix) -> None:
+def _torus_map(s: Matrix, points) -> tuple:
+    """(q, step, starts): ``points`` as a set of numerator tuples mod q, q the
+    lcm of their denominators, and step(x) = S x mod q, which keeps them so."""
     # under a rational S the denominator can grow at every step, forever
     if not s.is_integer:
         raise ValueError("torus dynamics needs an integer matrix")
+    q, nums = integer_rows([fvec(p) for p in points])
+    if any(len(x) != s.n for x in nums):  # int_mat_vec would truncate them
+        raise ValueError("dimension mismatch")
+    rows = int_rows(s.rows, 1)
+    def step(x):
+        return tuple([v % q for v in int_mat_vec(rows, x)])
+    return q, step, {tuple([v % q for v in x]) for x in nums}
 
 
 def orbit(s: Matrix, x0, max_iter: int = 100_000) -> OrbitResult:
@@ -261,17 +263,14 @@ def orbit(s: Matrix, x0, max_iter: int = 100_000) -> OrbitResult:
     For rational x0 and integer S the denominator never grows, so the orbit
     must close; max_iter is only a tripwire.
     """
-    _require_integer(s)
-    x = torus(fvec(x0))
-    seen = {x: 0}
-    trail = [x]
-    for n in range(1, max_iter + 1):
-        x = torus(s.mat_vec(x))
-        if x in seen:
-            j = seen[x]
-            return OrbitResult(tuple(trail), preperiod=j, period=n - j)
+    q, step, (x,) = _torus_map(s, [x0])
+    seen = {}  # in insertion order, the trail x0, x1, ...
+    for n in range(max_iter):
         seen[x] = n
-        trail.append(x)
+        x = step(x)
+        if x in seen:
+            trail = tuple(tuple(Fraction(v, q) for v in y) for y in seen)
+            return OrbitResult(trail, preperiod=seen[x], period=n + 1 - seen[x])
     raise BudgetExceeded("orbit did not close within %d steps" % max_iter)
 
 
@@ -279,26 +278,27 @@ def orbit(s: Matrix, x0, max_iter: int = 100_000) -> OrbitResult:
 CLOSURE_CAP = 100_000
 
 
-def invariant_superset(s: Matrix, points) -> frozenset:
-    """Smallest forward-invariant subset of the torus containing ``points``."""
-    _require_integer(s)
+def _closure(s: Matrix, points) -> tuple:
+    """(q, the invariant closure of ``points`` as numerators mod q)."""
+    q, step, frontier = _torus_map(s, points)
     closure = set()
-    frontier = [torus(fvec(p)) for p in points]
     while frontier:
-        x = frontier.pop()
-        if x in closure:
-            continue
-        closure.add(x)
+        closure |= frontier
         if len(closure) > CLOSURE_CAP:
             raise BudgetExceeded("invariant closure exceeded %d points" % CLOSURE_CAP)
-        frontier.append(torus(s.mat_vec(x)))
-    return frozenset(closure)
+        frontier = {step(x) for x in frontier} - closure
+    return q, closure
+
+
+def invariant_superset(s: Matrix, points) -> frozenset:
+    """Smallest forward-invariant subset of the torus containing ``points``."""
+    q, closure = _closure(s, points)
+    return frozenset(tuple(Fraction(v, q) for v in x) for x in closure)
 
 
 def is_invariant(s: Matrix, points) -> bool:
-    _require_integer(s)
-    pts = {torus(fvec(p)) for p in points}
-    return all(torus(s.mat_vec(p)) in pts for p in pts)
+    _, step, pts = _torus_map(s, points)
+    return all(step(x) in pts for x in pts)
 
 
 @dataclass(frozen=True)
@@ -315,9 +315,8 @@ def finite_bound(s: Matrix, zero_points) -> FiniteBoundReport:
     can exceed size + 1: differences of frequencies in such a family are
     trapped in the closure, and a family of size + 2 would force a repeat.
     """
-    closure = invariant_superset(s, zero_points)
-    zero = tuple(Fraction(0) for _ in range(s.n))
-    contains = zero in closure
+    _, closure = _closure(s, zero_points)
+    contains = (0,) * s.n in closure
     return FiniteBoundReport(
         size=len(closure),
         bound=None if contains else len(closure) + 1,
@@ -342,7 +341,7 @@ def orbit_distance_bound(s: Matrix, zeros: ZeroSet) -> DistanceBoundReport:
     """
     d = s.n
     # the orbits of the exact zero points make up their invariant closure
-    deltas = [_dist_sq_to_lattice(x) for x in invariant_superset(s, zeros.points)]
+    deltas = _dist_sq_to_lattice(*_closure(s, zeros.points))
     if zeros.families:
         diag = s.rows[0][0]
         scalar_odd = (

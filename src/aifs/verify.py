@@ -322,7 +322,7 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
     if not zeros.points:
         return set()
     s = sys.R.transpose()
-    min_dist_sq = min(map(_dist_sq_to_lattice, zeros.points))
+    min_dist_sq = min(_dist_sq_to_lattice(*integer_rows(zeros.points)))
     big_c, c = sys.contraction
     # the farthest corner takes the larger |bound| on every axis
     corner_sq = sum(max(abs(a), abs(b)) ** 2 for a, b in zip(lo, hi))

@@ -162,6 +162,16 @@ def test_mu_hat_budget_exhaustion_is_limit(capsys, cantor4_file):
     assert err.startswith("limit:")
 
 
+def test_orbit_budget_exhaustion_is_limit(capsys, tmp_path):
+    # 1/7 -> 2/7 -> 4/7 -> 1/7 under times-2 closes only at the third step
+    path = write_system(tmp_path, {"matrix": [["2"]], "digits": [["0"], ["1"]]})
+    rc, body, err = run(capsys, "orbit", path, "--x", "1/7", "--max-iter", "2")
+    assert rc == 3 and body is None
+    assert err.strip().splitlines() == ["limit: orbit did not close within 2 steps"]
+    rc, body, _ = run(capsys, "orbit", path, "--x", "1/7", "--max-iter", "3")
+    assert rc == 0 and body["orbit"]["period"] == 3
+
+
 def test_mu_hat_past_the_float_range(capsys, tmp_path):
     # |x| = 10^400 overflows a float, so the tail bound is infinite: the
     # factors m(10^400 / 4^n) are all 1 and 64 terms meet no tail bound,

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aifs.errors import AifsError
+from aifs.errors import AifsError, BudgetExceeded
 from aifs.fourier import eval_symbol
 from aifs.ifs_core import AffineSystem, simplex_system
-from aifs.linalg_exact import Matrix, frac
+from aifs.linalg_exact import Matrix, frac, fvec
 from aifs.torus_dynamics import (
+    CLOSURE_CAP,
     DistanceBoundReport,
     ZeroSet,
-    _dist_sq_to_lattice,
     find_zeros,
     finite_bound,
     has_zero_weighted,
@@ -24,8 +24,58 @@ from aifs.torus_dynamics import (
     min_unit_sum,
     orbit,
     orbit_distance_bound,
-    torus,
 )
+
+# ---------------------------------------------------------------- references
+# The torus maps on Fraction points, reduced mod 1 after every
+# Matrix.mat_vec, as the package ran them before its integer kernel; the
+# property tests below hold the kernel to them.
+
+
+def torus(v):
+    return tuple(frac(c) % 1 for c in v)
+
+
+def reference_dist_sq(x):
+    total = Fraction(0)
+    for c in x:
+        f = frac(c) % 1
+        total += min(f, 1 - f) ** 2
+    return total
+
+
+def reference_orbit(s, x0, max_iter=100_000):
+    """(trail, preperiod, period) of x0 under x -> S x mod Z^d."""
+    x = torus(fvec(x0))
+    seen = {x: 0}
+    trail = [x]
+    for n in range(1, max_iter + 1):
+        x = torus(s.mat_vec(x))
+        if x in seen:
+            j = seen[x]
+            return tuple(trail), j, n - j
+        seen[x] = n
+        trail.append(x)
+    raise BudgetExceeded("orbit did not close within %d steps" % max_iter)
+
+
+def reference_closure(s, points):
+    closure = set()
+    frontier = [torus(fvec(p)) for p in points]
+    while frontier:
+        x = frontier.pop()
+        if x in closure:
+            continue
+        closure.add(x)
+        if len(closure) > CLOSURE_CAP:
+            raise BudgetExceeded("invariant closure exceeded %d points" % CLOSURE_CAP)
+        frontier.append(torus(s.mat_vec(x)))
+    return frozenset(closure)
+
+
+def reference_is_invariant(s, points):
+    pts = {torus(fvec(p)) for p in points}
+    return all(torus(s.mat_vec(p)) in pts for p in pts)
 
 
 def sys1d(scale, digits, weights=()):
@@ -247,7 +297,7 @@ def reference_orbit_distance_bound(s, zeros):
     invariant closure of all the points must give the same report."""
     d = s.n
     deltas = [
-        min(_dist_sq_to_lattice(x) for x in orbit(s, p).points) for p in zeros.points
+        min(map(reference_dist_sq, reference_orbit(s, p)[0])) for p in zeros.points
     ]
     if zeros.families:
         diag = s.rows[0][0]
@@ -304,6 +354,47 @@ _torus_coords = st.builds(
 def test_distance_bound_from_closure_matches_per_point_orbits(case):
     rows, points = case
     s = Matrix(rows)
+    zeros = ZeroSet(points=tuple(points), complete=True)
+    assert _distance_outcome(orbit_distance_bound, s, zeros) == _distance_outcome(
+        reference_orbit_distance_bound, s, zeros
+    )
+
+
+@st.composite
+def torus_cases(draw):
+    """An integer S of size 1-3, singular ones included, and up to three
+    points, each over its own denominator of at most 30."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    s = Matrix(draw(st.lists(row, min_size=d, max_size=d)))
+    dens = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
+    points = [
+        tuple(Fraction(draw(st.integers(-2 * q, 2 * q)), q) for _ in range(d))
+        for q in dens
+    ]
+    return s, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(torus_cases())
+def test_integer_kernel_matches_the_fraction_references(case):
+    s, points = case
+    for p in points:
+        res = orbit(s, p)
+        assert (res.points, res.preperiod, res.period) == reference_orbit(s, p)
+        # the orbit closes at step len(res.points): max_iter must reach it
+        steps = len(res.points)
+        assert orbit(s, p, max_iter=steps) == res
+        with pytest.raises(BudgetExceeded, match="within %d steps" % (steps - 1)):
+            orbit(s, p, max_iter=steps - 1)
+    closure = reference_closure(s, points)
+    assert invariant_superset(s, points) == closure
+    assert is_invariant(s, points) == reference_is_invariant(s, points)
+    assert is_invariant(s, closure)
+    zero = (Fraction(0),) * s.n
+    rep = finite_bound(s, points)
+    assert (rep.size, rep.contains_zero) == (len(closure), zero in closure)
+    assert rep.bound == (None if zero in closure else len(closure) + 1)
     zeros = ZeroSet(points=tuple(points), complete=True)
     assert _distance_outcome(orbit_distance_bound, s, zeros) == _distance_outcome(
         reference_orbit_distance_bound, s, zeros

@@ -27,7 +27,14 @@ from aifs.fourier import (
 from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_dot, vec_sub
 from aifs.serialize import frequencies_from_dict, system_from_dict
-from aifs.torus_dynamics import ZeroSet, find_zeros, finite_bound
+from aifs.torus_dynamics import (
+    ZeroSet,
+    find_zeros,
+    finite_bound,
+    invariant_superset,
+    is_invariant,
+    orbit,
+)
 from aifs.verify import (
     Analysis,
     block_root_family,
@@ -1045,6 +1052,10 @@ DIMENSION_CALLS = {
         s, [tuple(k * c for c in x) for k in range(3)]
     ),
     "completeness_q": lambda s, x: completeness_q(s, [x], samples=2),
+    "orbit": lambda s, x: orbit(s.R.transpose(), x),
+    "invariant_superset": lambda s, x: invariant_superset(s.R.transpose(), [x]),
+    "is_invariant": lambda s, x: is_invariant(s.R.transpose(), [x]),
+    "finite_bound": lambda s, x: finite_bound(s.R.transpose(), [x]),
 }
 
 
