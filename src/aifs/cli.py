@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system")
     sp.add_argument("--level", type=_at_least(0), required=True)
     sp.add_argument("--csv")
-    sp.add_argument("--print-cap", type=int, default=4096,
+    sp.add_argument("--print-cap", type=_at_least(0), default=4096,
                     help="omit elements from JSON above this size")
 
     sp = add("verify-onb", _cmd_verify_onb,

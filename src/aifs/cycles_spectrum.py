@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import ceil, floor
 from operator import add
@@ -82,31 +81,9 @@ def integer_span_basis(gens) -> list:
     return [ech[j] for j in pivots]
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Full-rank lattice given by the columns of an exact matrix."""
-
-    basis: Matrix
-
-    @cached_property
-    def inverse(self) -> Matrix:
-        return self.basis.inverse()
-
-    def contains(self, v) -> bool:
-        coords = self.inverse.mat_vec(fvec(v))
-        return all(c.denominator == 1 for c in coords)
-
-    def dual(self) -> "LatticeBasis":
-        # x is dual iff <x, column> is an integer for every basis column,
-        # i.e. basis^T x in Z^d
-        return LatticeBasis(self.basis.transpose().inverse())
-
-    def det(self) -> Fraction:
-        return abs(self.basis.det())
-
-
-def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
-    """Smallest lattice containing the digits and stable under R.
+def build_digit_lattice(sys: AffineSystem) -> Matrix:
+    """Smallest lattice containing the digits and stable under R, as the
+    matrix whose columns are a basis of it.
 
     By Cayley-Hamilton (an integer R has a monic integer characteristic
     polynomial) it is spanned by R^k b, b a digit and 0 <= k < d, and one
@@ -130,23 +107,22 @@ def build_digit_lattice(sys: AffineSystem) -> LatticeBasis:
             "digit lattice has rank %d < %d" % (len(basis), sys.dim),
             rank=len(basis),
         )
-    cols = Matrix(list(zip(*[[Fraction(x, den) for x in v] for v in basis])))
-    return LatticeBasis(cols)
+    return Matrix(list(zip(*[[Fraction(x, den) for x in v] for v in basis])))
 
 
 #: lattice coordinate vectors scanned by one box enumeration
 BOX_CAP = 1_000_000
 
 
-def enumerate_box_points(lattice: LatticeBasis, lo, hi) -> list:
-    """All lattice points in the closed box [lo, hi], exactly.
+def enumerate_box_points(g: Matrix, lo, hi) -> list:
+    """All points of the lattice spanned by the columns of g in the closed
+    box [lo, hi], exactly.
 
     Coordinates k of a point x = G k are bounded by evaluating G^{-1} on the
     box corners; the integer ranges are scanned and each candidate compared
     against the box exactly.
     """
-    g = lattice.basis
-    ginv = lattice.inverse
+    ginv = g.inverse()
     d = g.n
     lo_f = [Fraction(c) for c in lo]
     hi_f = [Fraction(c) for c in hi]
@@ -205,9 +181,7 @@ def _canonical(points: list, digits: list) -> CycleRecord:
 DFS_BUDGET = 2_000_000
 
 
-def find_cycles_in_box(
-    sys_dual: AffineSystem, candidates, max_period: int = 64
-) -> list:
+def find_cycles_in_box(sys_dual: AffineSystem, candidates, max_period: int) -> list:
     """All simple cycles of x -> S x - l with every point in ``candidates``.
 
     Builds the transition graph on the candidate set (an edge per digit that
@@ -261,7 +235,7 @@ def find_cycles_in_box(
 WORD_BUDGET = 2_000_000
 
 
-def find_cycles_by_words(sys_dual: AffineSystem, max_period: int = 6) -> list:
+def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
     """Cycles of x -> S x - l found through digit words.
 
     A word (l_1 ... l_m) has exactly one periodic point,
@@ -350,17 +324,15 @@ def classify_extreme(sys_geom: AffineSystem, cycles) -> list:
 
 
 def search_cycles(
-    sys_geom: AffineSystem,
-    sys_dual: AffineSystem,
-    max_period: int = 64,
-    via: str = "box",
+    sys_geom: AffineSystem, sys_dual: AffineSystem, max_period: int, via: str
 ) -> list:
     """Every cycle of the dual system up to max_period, through either
     search route (the word scan is capped at period 8)."""
     if via == "box":
-        dual_lattice = build_digit_lattice(sys_geom).dual()
+        # x is in the dual lattice iff basis^T x is integral
+        dual_basis = build_digit_lattice(sys_geom).transpose().inverse()
         lo, hi = bounding_box(sys_dual)
-        cands = enumerate_box_points(dual_lattice, lo, hi)
+        cands = enumerate_box_points(dual_basis, lo, hi)
         return find_cycles_in_box(sys_dual, cands, max_period=max_period)
     if via == "words":
         return find_cycles_by_words(sys_dual, max_period=min(max_period, 8))

@@ -30,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .cycles_spectrum import (
-    LatticeBasis,
     classify_extreme,
     enumerate_box_points,
     search_cycles,
@@ -117,19 +116,25 @@ def orthogonal_pair(
 
 class _Neighbors(dict):
     """Point i -> {j : key_j - key_i in shifts}, filled on demand: a search
-    that reads few points builds few sets."""
+    that reads few points builds few sets. Each set probes the shorter side:
+    key_i plus every shift when the shifts are no more than the points,
+    else every point's difference to key_i against the shifts."""
 
     __slots__ = ("_keys", "_shifts", "_index")
 
     def __init__(self, keys, shifts):
         super().__init__()
-        self._keys, self._shifts = keys, shifts
+        self._keys, self._shifts = keys, frozenset(shifts)
         self._index = {k: i for i, k in enumerate(keys)}
 
     def __missing__(self, i):
-        index = self._index
-        shifted = map(self._keys[i].__add__, self._shifts)
-        out = self[i] = set(map(index.get, filter(index.__contains__, shifted)))
+        key, shifts, index = self._keys[i], self._shifts, self._index
+        if len(shifts) <= len(self._keys):
+            shifted = map(key.__add__, shifts)
+            out = set(map(index.get, filter(index.__contains__, shifted)))
+        else:
+            out = {j for j, k in enumerate(self._keys) if k - key in shifts}
+        self[i] = out
         return out
 
 
@@ -336,10 +341,9 @@ def _certified_difference_set(sys: AffineSystem, zeros: ZeroSet, lo, hi) -> set:
         if Fraction(big_c * c**n) ** 2 * corner_sq < min_dist_sq:
             break
         # S^n (z + Z^d) = S^n z + (the lattice spanned by the columns of S^n)
-        lattice = LatticeBasis(spow)
         for z in zeros.points:
             sz = spow.mat_vec(z)
-            box = enumerate_box_points(lattice, vec_sub(lo, sz), vec_sub(hi, sz))
+            box = enumerate_box_points(spow, vec_sub(lo, sz), vec_sub(hi, sz))
             out.update(vec_add(sz, x) for x in box)
     else:
         raise BudgetExceeded("difference enumeration passed %d levels" % DIFF_LEVELS)
@@ -359,14 +363,15 @@ def max_orthogonal_family(
     With a certified-complete finite zero set the certified-orthogonal
     differences inside the grid's difference box are enumerated directly
     (zeros pushed forward by S^n) and a maximum clique is taken over the
-    resulting graph -- that is the exact maximum. A point's neighbours are
-    built only when the search expands it. For integral R the clique
+    resulting graph -- that is the exact maximum. For integral R the clique
     search stops at the finite-orbit bound (``finite_bound``; Jorgensen
     and Pedersen, J. Anal. Math. 75 (1998)): if the S-invariant closure of
     the zeros avoids 0, no orthogonal family exceeds its size plus one.
-    Otherwise every grid pair is certified individually;
+    Otherwise the pair table certifies every +-difference of the grid;
     undetermined pairs count as non-edges and downgrade the result to a
-    certified lower bound.
+    certified lower bound. On both routes the certified differences are
+    key shifts, and a point's neighbours are built only when the search
+    expands it (``_Neighbors``).
     """
     lat = FrequencyLattice(grid)
     grid, keys = lat.points, lat.keys
@@ -397,11 +402,8 @@ def max_orthogonal_family(
             )
         table = lat.statuses(sys, lat.differences())
         certified = "undetermined" not in table.values()
-        neighbors = [set() for _ in grid]
-        for i, j in combinations(range(len(grid)), 2):
-            if table[abs(keys[i] - keys[j])] == "certified":
-                neighbors[i].add(j)
-                neighbors[j].add(i)
+        ok = [k for k, status in table.items() if status == "certified"]
+        neighbors = _Neighbors(keys, ok + [-k for k in ok])
     clique = _max_clique(len(grid), neighbors, bound)
     return FamilyReport(
         family=tuple(grid[i] for i in clique),

@@ -417,6 +417,7 @@ def test_malformed_frequency_names_its_field(capsys, tmp_path):
         ["mu-hat", "SYS", "--x", "1/3", "--tail", "0"],
         ["check-hadamard", "SYS", "--tol", "nan"],
         ["check-hadamard", "SYS", "--tol", "-1"],
+        ["spectrum", "SYS", "--level", "2", "--print-cap", "-1"],
     ],
 )
 def test_out_of_range_counts_are_rejected_by_the_parser(capsys, cantor4_file, argv):

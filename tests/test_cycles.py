@@ -2,17 +2,16 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm
+from itertools import combinations, permutations, product
+from math import ceil, floor, lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aifs import cycles_spectrum
 from aifs.catalog import load_entry, simplex_spectrum_digits
 from aifs.cycles_spectrum import (
-    LatticeBasis,
     _canonical,
     build_digit_lattice,
     classify_extreme,
@@ -74,21 +73,26 @@ def test_integer_span_basis_rank_deficient():
     assert integer_span_basis([(2, 4), (1, 2)]) == [[1, 2]]
 
 
+def in_lattice(basis, v) -> bool:
+    """Whether v lies in the lattice spanned by the columns of ``basis``."""
+    return all(c.denominator == 1 for c in basis.inverse().mat_vec(fvec(v)))
+
+
 def test_build_digit_lattice_simplex_is_standard():
-    lat = build_digit_lattice(simplex_system(3, 2))
-    assert lat.contains((Fraction(1), Fraction(0)))
-    assert lat.contains((Fraction(0), Fraction(1)))
-    assert not lat.contains((Fraction(1, 2), Fraction(0)))
-    assert lat.det() == 1
+    basis = build_digit_lattice(simplex_system(3, 2))
+    assert in_lattice(basis, (Fraction(1), Fraction(0)))
+    assert in_lattice(basis, (Fraction(0), Fraction(1)))
+    assert not in_lattice(basis, (Fraction(1, 2), Fraction(0)))
+    assert abs(basis.det()) == 1
 
 
 @pytest.mark.filterwarnings("ignore:digit set is not integral")
 def test_build_digit_lattice_grows_until_stable():
     # digits {0, 1/2} under scale 2: the stable lattice is (1/2) Z
     s = sys1d(2, [0, "1/2"])
-    lat = build_digit_lattice(s)
-    assert lat.contains((Fraction(1, 2),))
-    assert lat.det() == Fraction(1, 2)
+    basis = build_digit_lattice(s)
+    assert in_lattice(basis, (Fraction(1, 2),))
+    assert abs(basis.det()) == Fraction(1, 2)
 
 
 def test_build_digit_lattice_rank_deficient():
@@ -102,8 +106,9 @@ def test_build_digit_lattice_rank_deficient():
 
 
 def test_enumerate_box_points():
-    lat = build_digit_lattice(simplex_system(3, 2))
-    pts = enumerate_box_points(lat.dual(), (-1.5, -1.5), (1.5, 1.5))
+    basis = build_digit_lattice(simplex_system(3, 2))
+    dual = basis.transpose().inverse()
+    pts = enumerate_box_points(dual, (-1.5, -1.5), (1.5, 1.5))
     assert len(pts) == 9  # integer points of [-1, 1]^2
 
 
@@ -410,9 +415,7 @@ def reference_digit_lattice(sys):
         raise BudgetExceeded("digit lattice did not stabilise")
     if len(basis) < sys.dim:
         raise RankDeficient("rank %d" % len(basis), rank=len(basis))
-    return LatticeBasis(
-        Matrix(list(zip(*[[Fraction(x, den) for x in v] for v in basis])))
-    )
+    return Matrix(list(zip(*[[Fraction(x, den) for x in v] for v in basis])))
 
 
 @st.composite
@@ -492,15 +495,85 @@ def test_float_box_bounds_match_rounded_reference(case):
     basis = Matrix(rows)
     if abs(basis.det()) < Fraction(1, 2):  # singular, or too many points
         return
-    lattice = LatticeBasis(basis)
     lo = [min(b) for b in bounds]
     hi = [max(b) for b in bounds]
     ref_lo = [reference_as_fraction(c) for c in lo]
     ref_hi = [reference_as_fraction(c) for c in hi]
-    got = enumerate_box_points(lattice, lo, hi)
-    want = enumerate_box_points(lattice, ref_lo, ref_hi)
+    got = enumerate_box_points(basis, lo, hi)
+    want = enumerate_box_points(basis, ref_lo, ref_hi)
     # the float bounds are taken at their exact values, so the two may only
     # disagree on a point lying exactly on a rounded bound (the float 1e-9,
     # slightly larger than the rounded lo = 1e-9, would drop a point there)
     for x in set(got) ^ set(want):
         assert any(x[i] in (ref_lo[i], ref_hi[i]) for i in range(len(x)))
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def coefficient_radii(rows, r) -> list:
+    """Bounds on |k_i| for every G k with coordinates within r: by Cramer's
+    rule k_i = det(G with column i replaced by x) / det G, linear in x, so
+    |k_i| <= r sum_j |det(G with column i replaced by e_j)| / |det G|."""
+    d, det = len(rows), abs(leibniz_det(rows))
+
+    def unit_column(i, j):  # G with column i replaced by e_j
+        return [
+            [int(a == j) if c == i else rows[a][c] for c in range(d)]
+            for a in range(d)
+        ]
+
+    return [
+        floor(r * sum(abs(leibniz_det(unit_column(i, j))) for j in range(d)) / det)
+        for i in range(d)
+    ]
+
+
+def brute_force_box_points(rows, lo, hi, radii) -> set:
+    """Every G k in [lo, hi] over the cube of integer k within the radii,
+    in integers over the common denominator of G."""
+    den = lcm(*[c.denominator for row in rows for c in row])
+    g = [[int(c * den) for c in row] for row in rows]
+    lo_n = [ceil(c * den) for c in lo]
+    hi_n = [floor(c * den) for c in hi]
+    out = set()
+    for k in product(*[range(-r, r + 1) for r in radii]):
+        x = [sum(map(int.__mul__, row, k)) for row in g]
+        if all(a <= v <= b for a, v, b in zip(lo_n, x, hi_n)):
+            out.add(tuple(Fraction(v, den) for v in x))
+    return out
+
+
+_box_bounds = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.lists(_basis_entries, min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            ),
+            st.lists(st.tuples(_box_bounds, _box_bounds), min_size=d, max_size=d),
+        )
+    )
+)
+def test_box_points_match_brute_force(case):
+    rows, bounds = case
+    assume(abs(leibniz_det(rows)) >= Fraction(1, 2))
+    lo = [min(b) for b in bounds]
+    hi = [max(b) for b in bounds]
+    radii = coefficient_radii(rows, max(map(abs, [*lo, *hi])))
+    assume(prod(2 * r + 1 for r in radii) <= 50_000)  # a quick brute force
+    got = enumerate_box_points(Matrix(rows), lo, hi)
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_force_box_points(rows, lo, hi, radii)

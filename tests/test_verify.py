@@ -525,6 +525,35 @@ def test_family_routes_match_fraction_neighbour_loops(case):
 
 
 @st.composite
+def keys_and_shifts(draw):
+    """Distinct keys and a shift set on either side of the probe choice:
+    no more shifts than keys (shifts probed), or more (keys scanned)."""
+    keys = draw(st.lists(st.integers(-15, 15), min_size=1, max_size=20, unique=True))
+    n = len(keys)
+    more = draw(st.booleans())
+    shifts = draw(
+        st.sets(
+            st.integers(-30, 30),
+            min_size=n + 1 if more else 0,
+            max_size=n + 12 if more else n,
+        )
+    )
+    return keys, shifts
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys_and_shifts(), st.randoms(use_true_random=False))
+def test_neighbors_match_brute_force_adjacency(case, rnd):
+    keys, shifts = case
+    neighbors = verify._Neighbors(keys, list(shifts))
+    order = list(range(len(keys)))
+    rnd.shuffle(order)  # each set is built on its first read, in any order
+    for i in order + order:
+        want = {j for j, k in enumerate(keys) if k - keys[i] in shifts}
+        assert neighbors[i] == want
+
+
+@st.composite
 def graphs(draw):
     n = draw(st.integers(1, 12))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
