@@ -258,8 +258,9 @@ def _cmd_verify_onb(args):
         verdict, rc = "not-orthogonal", 1
     elif pairs.undetermined:
         verdict, rc = "undetermined", 3
-    elif not qrep.within_bessel:
-        verdict, rc = "parseval-exceeded", 1
+    elif not qrep.within_bessel:  # all pairs certified: Bessel makes Q <= 1
+        msg = "Q = %r at level %d is past Bessel's bound" % (qrep.q_max, ss.level)
+        raise RuntimeError(msg + " for certified pairs: a wrong error bound")
     else:
         verdict, rc = "orthogonal-certified", 0
     payload = {

@@ -12,22 +12,24 @@ digit word of length n to the negated cycle points.
 Two independent cycle searches are provided -- a graph search over lattice
 candidates in the box, and a scan over Lyndon digit words (about N^m / m of
 length m) whose composite fixed points are computed exactly in integer
-arithmetic -- and they cross-check each other in tests.
+arithmetic -- and they cross-check each other in tests. The word scan, the
+extreme test and the spectrum keep points as integer numerators over one
+denominator per record or level, and build ``Fraction``s once, for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor
+from itertools import chain, product
+from math import ceil, floor, lcm
 from operator import add
 
 from .errors import BudgetExceeded, RankDeficient
-from .fourier import is_symbol_unimodular
+from .fourier import _phase_residues
 from .ifs_core import AffineSystem, bounding_box
 from .linalg_exact import Matrix, fvec, int_mat_vec, int_rows, integer_rows
-from .linalg_exact import vec_add, vec_sub
+from .linalg_exact import vec_sub
 
 
 def _xgcd(a: int, b: int):
@@ -249,8 +251,9 @@ def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
     The scan runs in integers. With T = a S and L_i = c l_i integral, the
     prefix sums A_k = T A_{k-1} + a^k L_{w_k} are shared along the word
     trie, the fixed point is J A_m / D with J = e (S^m - I)^{-1} integral and
-    D = e c a^m, and the rest of the cycle keeps that denominator. Fractions
-    are built only for the returned records. The ``WORD_BUDGET`` guard still
+    D = e c a^m, and the rest of the cycle keeps that denominator. Records
+    are rotated and deduped on those integer points; Fractions are built
+    once, for the returned records. The ``WORD_BUDGET`` guard still
     counts all N^m words. A word whose orbit revisits a point strings shorter
     cycles together and is skipped; an orbit that fails to close raises
     RuntimeError, since that can only be a bug.
@@ -294,9 +297,7 @@ def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
         # a primitive word can still revisit a point: it then strings
         # together shorter cycles through that point, found at their lengths
         if len(key) == m and key not in cycles:
-            cycles[key] = _canonical(
-                [tuple(Fraction(y, den) for y in p) for p in pts], word
-            )
+            cycles[key] = _canonical(pts, word), den
         # Duval's successor: repeat the word up to max_period, drop trailing
         # maximal letters, bump the last one
         while len(word) < max_period:
@@ -307,20 +308,26 @@ def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
             break
         word[-1] += 1
         del accs[len(word):]
-    return sorted(cycles.values(), key=lambda r: r.points)
+    entries = {(y, den) for r, den in cycles.values() for p in r.points for y in p}
+    fr = {k: Fraction(*k) for k in entries}  # one Fraction per distinct entry
+    records = (CycleRecord(tuple(tuple(fr[y, den] for y in p) for p in r.points),
+                           r.digit_indices) for r, den in cycles.values())
+    return sorted(records, key=lambda r: r.points)
 
 
 def classify_extreme(sys_geom: AffineSystem, cycles) -> list:
     """Mark each cycle by whether the geometric symbol has modulus one on
-    every one of its points (only those can seed a spectrum)."""
-    return [
-        CycleRecord(
-            c.points,
-            c.digit_indices,
-            extreme=all(is_symbol_unimodular(sys_geom, p) for p in c.points),
-        )
-        for c in cycles
-    ]
+    every one of its points (only those can seed a spectrum): all phase
+    residues of a point, over its record's denominator, agree. Most cycles
+    fail at their first point, so numerators are built point by point."""
+    out = []
+    for c in cycles:
+        den = lcm(*[x.denominator for p in c.points for x in p])
+        nums = ([x.numerator * (den // x.denominator) for x in p] for p in c.points)
+        res = (_phase_residues(sys_geom, y, den)[0] for y in nums)
+        unimodular = (len(set(r)) == 1 for r in res)
+        out.append(CycleRecord(c.points, c.digit_indices, extreme=all(unimodular)))
+    return out
 
 
 def search_cycles(
@@ -376,22 +383,33 @@ SPECTRUM_CAP = 2_000_000
 
 
 def spectrum_from_cycles(sys_dual: AffineSystem, cycles, level: int) -> SpectrumSet:
-    s = sys_dual.R
+    """The negated points of extreme cycles, pushed ``level`` times through
+    every x -> S x + l. A level is a set of integer numerators over one
+    denominator: with S = T / a (T integral) and seeds and digits l = L / D
+    over one D, level k lies over D a^k and a step is X -> T X + a^(k+1) L,
+    so the tuples sort as the vectors do and Fractions are built once, when
+    sorted. ``SPECTRUM_CAP`` bounds each level of each cycle."""
+    cycles = list(cycles)  # read three times below
+    if any(c.extreme is False for c in cycles):
+        raise ValueError("spectrum seeds must be extreme cycles")
+    a, t = integer_rows(sys_dual.R.rows)
+    den, rows = integer_rows([*sys_dual.digits, *(p for c in cycles for p in c.points)])
+    digits, seeds = rows[: sys_dual.n_digits], iter(rows[sys_dual.n_digits :])
     union = set()
     for cyc in cycles:
-        if cyc.extreme is False:
-            raise ValueError("spectrum seeds must be extreme cycles")
-        layer = {tuple(-c for c in p) for p in cyc.points}
-        for _ in range(level):
+        layer = {tuple(-v for v in next(seeds)) for _ in cyc.points}
+        for k in range(1, level + 1):
+            shifted = int_rows(digits, a**k)
             nxt = set()
             for x in layer:
-                sx = s.mat_vec(x)
-                for l in sys_dual.digits:
-                    nxt.add(vec_add(sx, l))
+                tx = int_mat_vec(t, x)
+                nxt.update(tuple(map(add, tx, l)) for l in shifted)
                 if len(nxt) > SPECTRUM_CAP:
                     raise BudgetExceeded(
                         "spectrum grew past %d elements" % SPECTRUM_CAP
                     )
             layer = nxt
         union |= layer
-    return SpectrumSet(level=level, elements=tuple(sorted(union)))
+    fr = {v: Fraction(v, den * a**level) for v in set(chain.from_iterable(union))}
+    elements = tuple(tuple(fr[v] for v in x) for x in sorted(union))
+    return SpectrumSet(level=level, elements=elements)

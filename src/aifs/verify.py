@@ -400,7 +400,7 @@ def max_orthogonal_family(
                 "pairwise certification over %d grid points (cap %d)"
                 % (len(grid), PAIRWISE_CAP)
             )
-        table = lat.statuses(sys, lat.differences())
+        table = lat.statuses(sys, {abs(a - b) for a, b in combinations(keys, 2)})
         certified = "undetermined" not in table.values()
         ok = [k for k, status in table.items() if status == "certified"]
         neighbors = _Neighbors(keys, ok + [-k for k in ok])

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import aifs
+from aifs import cli
 from aifs.cli import build_parser, main
+from aifs.verify import QReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -285,6 +287,19 @@ def test_verify_onb_certifies(capsys, cantor4_file):
     assert v["verdict"] == "orthogonal-certified"
     assert v["certified"] == v["pairs"] == 6
     assert v["q_max"] <= 1 + v["q_error_bound"] + 1e-8
+
+
+def test_verify_onb_past_bessel_is_an_internal_error(
+    capsys, cantor4_file, monkeypatch
+):
+    # every pair of the level-2 cantor4 spectrum is certified, so Q <= 1
+    # is exact; a Q past its bound can only be a wrong error bound
+    monkeypatch.setattr(
+        cli, "completeness_q", lambda *a, **k: QReport((0.5, 1.25), (), 1e-3)
+    )
+    with pytest.raises(RuntimeError, match=r"Q = 1\.25 at level 2"):
+        main(["verify-onb", cantor4_file, "--level", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_probe_conjecture(capsys, cantor4_file):

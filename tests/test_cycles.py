@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from aifs import cycles_spectrum
 from aifs.catalog import load_entry, simplex_spectrum_digits
 from aifs.cycles_spectrum import (
+    CycleRecord,
+    SpectrumSet,
     _canonical,
     build_digit_lattice,
     classify_extreme,
@@ -22,6 +24,7 @@ from aifs.cycles_spectrum import (
     spectrum_from_cycles,
 )
 from aifs.errors import BudgetExceeded, RankDeficient
+from aifs.fourier import is_symbol_unimodular
 from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_sub
 from aifs.serialize import frequencies_from_dict, system_from_dict
@@ -364,6 +367,10 @@ def test_spectrum_rejects_non_extreme_cycles():
     assert bad  # {1/4, 3/4} is a cycle but not extreme for these digits
     with pytest.raises(ValueError):
         spectrum_from_cycles(dual, bad, 2)
+    good = [c for c in cycles if c.extreme]
+    assert spectrum_from_cycles(dual, good, 2).size
+    with pytest.raises(ValueError):  # behind extreme seeds, at any level
+        spectrum_from_cycles(dual, good + bad[:1], 0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -374,6 +381,105 @@ def test_spectrum_nesting_property_simplex_d2_p3(level):
     a = spectrum_from_cycles(dual, cycles, level)
     b = spectrum_from_cycles(dual, cycles, level + 1)
     assert set(a.elements) <= set(b.elements)
+
+
+# ---------------------------------------------------------------- references
+# The extreme test and the spectrum on Fraction vectors, one
+# is_symbol_unimodular per point and one Matrix.mat_vec per point and step,
+# as the package ran them before its integer numerators; the property test
+# below holds the integer code to them.
+
+
+def reference_classify_extreme(sys_geom, cycles):
+    return [
+        CycleRecord(
+            c.points,
+            c.digit_indices,
+            extreme=all(is_symbol_unimodular(sys_geom, p) for p in c.points),
+        )
+        for c in cycles
+    ]
+
+
+def reference_spectrum(sys_dual, cycles, level):
+    union = set()
+    for cyc in cycles:
+        layer = {tuple(-c for c in p) for p in cyc.points}
+        for _ in range(level):
+            layer = {
+                vec_add(sys_dual.R.mat_vec(x), l)
+                for x in layer
+                for l in sys_dual.digits
+            }
+        union |= layer
+    return SpectrumSet(level=level, elements=tuple(sorted(union)))
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@settings(max_examples=40, deadline=None)
+@given(expansive_systems(), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_integer_levels_match_the_fraction_references(
+    dual, max_period, level, data
+):
+    # rational S makes the level denominator D a^k grow with k
+    cycles = find_cycles_by_words(dual, max_period=max_period)
+    digits = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * dual.dim),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    geom = AffineSystem(R=dual.R.transpose(), digits=tuple(digits))
+    classified = classify_extreme(geom, cycles)
+    assert classified == reference_classify_extreme(geom, cycles)
+    for seeds in (cycles, [c for c in classified if c.extreme]):
+        got = spectrum_from_cycles(dual, seeds, level)
+        assert got == reference_spectrum(dual, seeds, level)
+        assert all(type(v) is Fraction for x in got.elements for v in x)
+
+
+def test_spectrum_and_classification_of_no_cycles():
+    assert classify_extreme(CANTOR4, []) == []
+    for level in range(3):
+        assert spectrum_from_cycles(CANTOR4_DUAL, [], level) == SpectrumSet(
+            level, ()
+        )
+
+
+def test_classify_extreme_over_mixed_coordinate_denominators():
+    # |m| = 1 exactly where x_1 is an integer: (1, 1/2) qualifies, and its
+    # first coordinate must be read over the point's denominator 2
+    geom = AffineSystem(R=Matrix([[2, 0], [0, 2]]), digits=((0, 0), (1, 0)))
+    half = Fraction(1, 2)
+    recs = [
+        CycleRecord(((Fraction(1), half),), (0,)),
+        CycleRecord(((half, Fraction(1)),), (0,)),
+    ]
+    got = classify_extreme(geom, recs)
+    assert [c.extreme for c in got] == [True, False]
+    assert got == reference_classify_extreme(geom, recs)
+
+
+def test_classify_extreme_refuses_points_of_another_dimension():
+    rec = CycleRecord(((Fraction(1, 3), Fraction(0)),), (0,))
+    with pytest.raises(ValueError, match="dimension"):
+        classify_extreme(CANTOR4, [rec])
+
+
+def test_spectrum_cap_bounds_each_cycle_layer(monkeypatch):
+    # R = 2, B = L = {0, 1}: each of the two fixed points, 0 and -1, grows
+    # to 32 elements at level 5, and together they give [-32, 32)
+    s = sys1d(2, [0, 1])
+    dual = dual_of(s, [[0], [1]])
+    cycles = extreme_cycles(s, dual)
+    assert len(cycles) == 2
+    monkeypatch.setattr(cycles_spectrum, "SPECTRUM_CAP", 32)
+    assert spectrum_from_cycles(dual, cycles, 5).size == 64
+    monkeypatch.setattr(cycles_spectrum, "SPECTRUM_CAP", 31)
+    with pytest.raises(BudgetExceeded):
+        spectrum_from_cycles(dual, cycles, 5)
 
 
 @settings(max_examples=25, deadline=None)
