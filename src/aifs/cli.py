@@ -286,7 +286,6 @@ def _cmd_probe(args):
         _require_freqs(freqs),
         level=args.level,
         samples=args.samples,
-        pair_budget=args.pair_budget,
     )
     rc = 1 if "counterexample-evidence" in rep.verdicts else 0
     return doc, {"probe": to_jsonable(rep)}, rc
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system")
     sp.add_argument("--level", type=_at_least(0), default=None)
     sp.add_argument("--samples", type=_at_least(1), default=16)
-    sp.add_argument("--pair-budget", type=_at_least(1), default=300)
 
     sp = add("catalog", _cmd_catalog, "run the bundled example catalog")
     sp.add_argument("action", choices=("list", "run"))

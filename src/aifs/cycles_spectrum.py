@@ -28,7 +28,7 @@ from operator import add
 from .errors import BudgetExceeded, RankDeficient
 from .fourier import _phase_residues
 from .ifs_core import AffineSystem, bounding_box
-from .linalg_exact import Matrix, fvec, int_mat_vec, int_rows, integer_rows
+from .linalg_exact import Matrix, fvec, int_mat_vec, int_orbits, int_rows, integer_rows
 from .linalg_exact import vec_sub
 
 
@@ -97,13 +97,7 @@ def build_digit_lattice(sys: AffineSystem) -> Matrix:
         raise ValueError("digit lattice is defined for integer matrices only")
     den, gens = integer_rows(sys.digits)
     gens = [g for g in gens if any(g)]
-    r_int = int_rows(sys.R.rows, 1)
-    orbits = []
-    for g in gens:
-        for _ in range(sys.dim):
-            orbits.append(g)
-            g = int_mat_vec(r_int, g)
-    basis = integer_span_basis(orbits)
+    basis = integer_span_basis(int_orbits(int_rows(sys.R.rows, 1), gens))
     if len(basis) < sys.dim:
         raise RankDeficient(
             "digit lattice has rank %d < %d" % (len(basis), sys.dim),

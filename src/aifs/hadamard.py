@@ -12,8 +12,6 @@ by staring at a float defect (which is still reported, for instrumentation).
 from __future__ import annotations
 
 import math
-import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, starmap
 
@@ -24,7 +22,7 @@ from .errors import ExactnessUnavailable
 from .fourier import TruncationPolicy, eval_mu_hat
 from .ifs_core import AffineSystem
 from .linalg_exact import Matrix, fvec, vec_dot, vec_sub
-from .verify import Analysis, FrequencyLattice, completeness_q
+from .verify import PAIRWISE_CAP, Analysis, PairMatrixReport, completeness_q
 
 
 @dataclass(frozen=True)
@@ -148,29 +146,10 @@ def _probe_level(n_digits: int) -> int:
     return max(3, min(level, 8))
 
 
-def sample_pairs(rng: random.Random, n: int, k: int) -> list:
-    """The k pairs ``rng.sample(list(combinations(range(n), 2)), k)`` draws
-    (all pairs if there are at most k), unranked from sampled positions:
-    the draw depends only on the population's length, so no list is built."""
-    total = n * (n - 1) // 2
-    if total <= k:
-        return list(combinations(range(n), 2))
-    pairs = []
-    for r in rng.sample(range(total), k):
-        # counted from the last pair, first index n - 2 - m holds the
-        # positions m(m + 1)/2 up to (m + 1)(m + 2)/2 - 1
-        m = (math.isqrt(8 * (total - 1 - r) + 1) - 1) // 2
-        i = n - 2 - m
-        pairs.append((i, r - i * (2 * n - i - 1) // 2 + i + 1))
-    return pairs
-
-
 #: Parseval sums at least this high count as spectral evidence
 SPECTRAL_Q_MIN = 0.99
 #: longest dual cycle the probe's word scan looks for
 PROBE_MAX_PERIOD = 6
-#: seed of the probe's pair sample, fixed so reports are reproducible
-PROBE_SEED = 7
 
 
 def conjecture_probe(
@@ -178,37 +157,38 @@ def conjecture_probe(
     l_digits,
     level: int | None = None,
     samples: int = 16,
-    pair_budget: int = 300,
 ) -> ProbeReport:
     """Experimental two-sided check that a compatible pair is spectral both
-    ways: the triple (R, B, L) and its swap (R^T, L, B) each get cycles,
-    a level-capped spectrum, sampled orthogonality certificates, and
-    Parseval sums. Finite-level evidence only -- never a proof -- and the
-    report says so.
+    ways: the triple (R, B, L) and its swap (R^T, L, B) each get cycles, a
+    level-capped spectrum, the pair counts of ``Analysis.pair_report`` over
+    every pair of it, and Parseval sums. Where the every-level lemma does
+    not apply and the spectrum has more than PAIRWISE_CAP elements, every
+    pair is reported undetermined, so the orientation is not spectral
+    evidence. Finite-level evidence only -- never a proof -- and the report
+    says so.
     """
-    triple = check_hadamard(sys_geom.R, sys_geom.digits, l_digits)
+    first = Analysis(sys_geom, tuple(l_digits), PROBE_MAX_PERIOD, via="words")
+    triple = first.triple
     if not triple.certified:
         raise ValueError(
             "not a certified compatible pair (float defect %.3g)" % triple.defect
         )
     # the swap (R^T, L, B) analyses the dual, whose own dual is (R, B) again
-    first = Analysis(sys_geom, triple.l_digits, PROBE_MAX_PERIOD, via="words")
     swap = Analysis(first.dual, triple.b_digits, PROBE_MAX_PERIOD, via="words")
     orientations = []
-    rng = random.Random(PROBE_SEED)
     for label, an in (("R,B,L", first), ("R^T,L,B", swap)):
         lv = level if level is not None else _probe_level(an.dual.n_digits)
         spectrum = an.spectrum(lv)
-        elements = spectrum.elements
-        pairs = sample_pairs(rng, len(elements), pair_budget)
-        lat = FrequencyLattice(elements)
-        diffs = [lat.keys[i] - lat.keys[j] for i, j in pairs]
-        table = lat.statuses(an.sys, diffs)
-        counts = Counter(table[abs(k)] for k in diffs)
-        qrep = completeness_q(an.sys, elements, samples=samples)
-        if counts["not-orthogonal"] > 0 or not qrep.within_bessel:
+        n = spectrum.size
+        if an.orthogonal_every_level or n <= PAIRWISE_CAP:
+            pairs = an.pair_report(lv)
+        else:
+            total = n * (n - 1) // 2
+            pairs = PairMatrixReport(n, total, 0, 0, total, ())
+        qrep = completeness_q(an.sys, spectrum.elements, samples=samples)
+        if pairs.not_orthogonal > 0 or not qrep.within_bessel:
             verdict = "counterexample-evidence"
-        elif counts["undetermined"] == 0 and qrep.q_min >= SPECTRAL_Q_MIN:
+        elif pairs.undetermined == 0 and qrep.q_min >= SPECTRAL_Q_MIN:
             verdict = "spectral-evidence"
         else:
             verdict = "inconclusive"
@@ -217,12 +197,12 @@ def conjecture_probe(
                 label=label,
                 cycles=tuple(an.cycles),
                 extreme_cycles=tuple(an.extreme),
-                spectrum_size=spectrum.size,
+                spectrum_size=n,
                 level=lv,
-                pairs_checked=len(pairs),
-                pairs_certified=counts["certified"],
-                pairs_rejected=counts["not-orthogonal"],
-                pairs_undetermined=counts["undetermined"],
+                pairs_checked=pairs.n_pairs,
+                pairs_certified=pairs.certified,
+                pairs_rejected=pairs.not_orthogonal,
+                pairs_undetermined=pairs.undetermined,
                 q_min=qrep.q_min,
                 q_max=qrep.q_max,
                 verdict=verdict,

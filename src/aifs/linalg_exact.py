@@ -66,6 +66,17 @@ def int_mat_vec(rows, v) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in rows])
 
 
+def int_orbits(rows, vecs) -> list:
+    """R^k v for each v and 0 <= k < d, R the integer rows: by Cayley-Hamilton
+    they span the least R-invariant lattice holding the vs."""
+    out = []
+    for v in vecs:
+        for _ in rows:
+            out.append(v)
+            v = int_mat_vec(rows, v)
+    return out
+
+
 def int_mat_mul(a, b) -> list:
     return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
 

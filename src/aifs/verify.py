@@ -39,7 +39,8 @@ from .errors import AifsError, BudgetExceeded
 from .fourier import _symbol, eval_symbol, float_norm, integer_chain, mu_hat_grid
 from .fourier import truncation_tail
 from .ifs_core import AffineSystem, simplex_system
-from .linalg_exact import Matrix, fvec, integer_rows, lattice_numerators, vec_add, vec_sub
+from .linalg_exact import Matrix, fvec, int_orbits, int_rows, integer_rows
+from .linalg_exact import lattice_numerators, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros, finite_bound
 
 Vec = tuple
@@ -560,6 +561,16 @@ def block_root_family(p: int, d: int, blocks, count: int = 6) -> BlockRootReport
     )
 
 
+def _in_period_lattice(sys: AffineSystem, points) -> bool:
+    """Whether every p - p0 lies in the Gamma of ``orthogonal_every_level``,
+    the dual of the lattice spanned by R^k (b - b0), 0 <= k < d (R integral)."""
+    kb, (b0, *rest) = integer_rows(sys.digits)
+    kp, nums = integer_rows(points)
+    gens = int_orbits(int_rows(sys.R.rows, 1), [tuple(map(sub, b, b0)) for b in rest])
+    steps = [tuple(map(sub, p, nums[0])) for p in nums[1:]]
+    return not any(sum(map(mul, g, v)) % (kb * kp) for g in gens for v in steps)
+
+
 # ---------------------------------------------------------------------------
 # the staged construction
 
@@ -622,37 +633,41 @@ class Analysis:
         lemma below, from one Hadamard certificate and the seed pairs.
 
         Lemma (Jorgensen and Pedersen, J. Anal. Math. 75 (1998); Laba and
-        Wang, J. Funct. Anal. 193 (2002)). Let R be an integral matrix, S =
-        R^T, B and L integral with |B| = |L| = N, the weights uniform, and
-        (R, B, L) a Hadamard triple. Let X be the seeds, the points -c with c
-        on an extreme cycle of (S, L) (the level-0 spectrum), and suppose X
-        is integral. The level-n elements are the addresses (x0, w), x0 in X
+        Wang, J. Funct. Anal. 193 (2002)). Let R be integral, S = R^T,
+        |B| = |L| = N, the weights uniform, and (R, B, L) a Hadamard triple:
+        m_B(S^-1 (l - l')) = 0 for l != l' in L. Let M be spanned by the
+        R^k (b - b0), b in B and 0 <= k < d (by Cayley-Hamilton, the least
+        R-invariant lattice holding B - B), and Gamma = {x : m.x in Z for
+        every m in M}, which holds Z^d when B is integral. For z in Gamma,
+        m_B(x + z) = e(b0.z) m_B(x), so |m_B| = 1 on Gamma; and S Gamma lies
+        in Gamma, as m.(S z) = (R m).z and R M lies in M. Let X be the seeds,
+        the points -c with c on an extreme cycle of (S, L) (the level-0
+        spectrum), and suppose every l - l0 and x - x0 (l in L, x in X) lies
+        in Gamma. The level-n elements are the addresses (x0, w), x0 in X
         and w = w_1 ... w_n digits of L, at lam = S^n x0 + sum_i S^(n-i) l_wi.
         For two of them:
         1. If the words differ, let j be the lowest power of S at which they
-           do. Then lam - lam' = S^j (l - l') + S^(j+1) z with z in Z^d, so
-           factor j+1 of mu^(lam - lam') is m_B(S^-1 (l - l') + z) =
-           m_B(S^-1 (l - l')) = 0: m_B is Z^d-periodic for integral B, and
-           the Hadamard identity is m_B(S^-1 (l - l')) = 0 for l != l'.
-        2. If the words agree, lam - lam' = S^n (x0 - x0'), and for integral
-           y, mu^(S^n y) = mu^(y): its first n factors are m_B at integer
-           points, which equal 1.
+           do. Then lam - lam' = S^j (l - l') + S^(j+1) z with z in Gamma,
+           so factor j+1 of mu^(lam - lam') is m_B(S^-1 (l - l') + z) =
+           e(b0.z) m_B(S^-1 (l - l')) = 0.
+        2. If the words agree, lam - lam' = S^n y with y = x0 - x0' in
+           Gamma, and mu^(S^n y) is mu^(y) times n factors of modulus 1.
         So the union of all levels is orthogonal exactly when every seed pair
         is, and one walk per seed pair (``certify_all_pairs`` over X) decides
-        every level at once. The Hadamard identity also puts L in distinct
-        classes mod S Z^d, so distinct addresses are distinct elements and
-        level n has |X| N^n of them; ``pair_report`` checks that count.
+        every level at once. Distinct addresses are distinct elements (case
+        1 gives mu^(lam - lam') = 0 != mu^(0), case 2 S^n y != 0), so level
+        n has |X| N^n of them; ``pair_report`` checks that count.
 
-        Each hypothesis is checked exactly; False when one fails or a seed
-        pair is not certified.
+        Each hypothesis is checked exactly, Gamma on integer numerators;
+        False when one fails or a seed pair is not certified.
         """
         sys, seeds = self.sys, self.spectrum(0).elements
-        vectors = sys.digits + self.dual.digits + seeds
         return (
             sys.R.is_integer
             and sys.uniform
             and sys.n_digits == self.dual.n_digits
-            and all(c.denominator == 1 for v in vectors for c in v)
+            and _in_period_lattice(sys, self.dual.digits)
+            and _in_period_lattice(sys, seeds)
             and self.triple.certified
             and certify_all_pairs(sys, seeds).all_orthogonal
         )
@@ -663,12 +678,13 @@ class Analysis:
         of ``certify_all_pairs``.
 
         The table gives the same counts, so no output moves. It certifies
-        a case 1 pair at factor j+1 <= level, on phases the Hadamard
-        certificate decided, well inside PAIR_DEPTH = 48: SPECTRUM_CAP
-        holds N >= 2 digits to level 20 (N = 1 has one seed and no pairs).
+        a case 1 pair at factor j+1 <= level, on the phases the Hadamard
+        certificate decided turned by one common e(b0.z), well inside
+        PAIR_DEPTH = 48: SPECTRUM_CAP holds N >= 2 digits to level 20
+        (N = 1 has one seed and no pairs).
         A case 2 pair's chain is its seed pair's after ``level`` factors of
-        1, so the table certifies it when the seed pair vanishes by factor
-        48 - level >= 28. Only a seed pair vanishing later, near
+        modulus 1, so the table certifies it when the seed pair vanishes by
+        factor 48 - level >= 28. Only a seed pair vanishing later, near
         PAIR_DEPTH, would leave undetermined in the table what the lemma
         certifies; the bundled seed pairs all vanish at factor 1.
         """

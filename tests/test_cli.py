@@ -414,8 +414,6 @@ def test_malformed_frequency_names_its_field(capsys, tmp_path):
     [
         ["verify-onb", "SYS", "--level", "2", "--samples", "0"],
         ["probe-conjecture", "SYS", "--samples", "0"],
-        ["probe-conjecture", "SYS", "--pair-budget", "0"],
-        ["probe-conjecture", "SYS", "--pair-budget", "-1"],
         ["probe-conjecture", "SYS", "--level", "-1"],
         ["attractor", "SYS", "--chaos", "--count", "0"],
         ["attractor", "SYS", "--depth", "-1"],

@@ -1,8 +1,7 @@
 """Unitary digit matrices, dual pairs, conjugation covariance, probes."""
 
-import random
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +9,22 @@ from hypothesis import strategies as st
 
 from aifs.fourier import eval_mu_hat
 from aifs.hadamard import (
+    PROBE_MAX_PERIOD,
     check_hadamard,
     conjecture_probe,
     conjugate_system,
     covariance_residual,
-    sample_pairs,
 )
 from aifs.ifs_core import AffineSystem
 from aifs.linalg_exact import Matrix, frac, fvec
+from aifs.verify import PAIRWISE_CAP, Analysis, certify_all_pairs
 
 
-def sys1d(scale, digits):
+def sys1d(scale, digits, weights=None):
     return AffineSystem(
         R=Matrix([[frac(scale)]]),
         digits=tuple((frac(b),) for b in digits),
+        weights=None if weights is None else tuple(frac(w) for w in weights),
     )
 
 
@@ -154,6 +155,38 @@ def test_probe_requires_a_certified_pair():
         conjecture_probe(CANTOR4, ((frac(0),), (frac(2),)))
 
 
+#: a certified triple with weights 1/3, 2/3: the every-level lemma needs
+#: uniform weights, so the R,B,L orientation takes the pair table
+WEIGHTED4 = sys1d(4, [0, 2], [Fraction(1, 3), Fraction(2, 3)])
+WEIGHTED4_L = ((frac(0),), (frac(1),))
+
+
+def test_probe_past_the_pairwise_cap_leaves_every_pair_undetermined():
+    rep = conjecture_probe(WEIGHTED4, WEIGHTED4_L, level=11, samples=1)
+    first = rep.orientations[0]
+    assert first.spectrum_size == 2048 > PAIRWISE_CAP
+    assert first.pairs_undetermined == first.pairs_checked == comb(2048, 2)
+    assert first.pairs_certified == first.pairs_rejected == 0
+    assert first.verdict != "spectral-evidence"
+
+
+def test_probe_within_the_pairwise_cap_reports_the_pair_table():
+    rep = conjecture_probe(WEIGHTED4, WEIGHTED4_L, level=3, samples=1)
+    first = rep.orientations[0]
+    an = Analysis(WEIGHTED4, WEIGHTED4_L, PROBE_MAX_PERIOD, via="words")
+    assert not an.orthogonal_every_level
+    table = certify_all_pairs(WEIGHTED4, an.spectrum(3).elements)
+    counts = (
+        first.pairs_checked, first.pairs_certified,
+        first.pairs_rejected, first.pairs_undetermined,
+    )
+    # m(x) = 1/3 + 2/3 e(2x) has no zero: every pair is not orthogonal
+    assert counts == (28, 0, 28, 0)
+    assert counts == (
+        table.n_pairs, table.certified, table.not_orthogonal, table.undetermined
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 40))
 def test_hadamard_invariant_under_frequency_translation(shift):
@@ -162,13 +195,3 @@ def test_hadamard_invariant_under_frequency_translation(shift):
     l = ((frac(shift),), (frac(1 + shift),))
     t = check_hadamard(CANTOR4.R, CANTOR4.digits, l)
     assert t.certified and t.defect < 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 90), st.integers(1, 400), st.integers(0, 2**32))
-def test_sample_pairs_matches_sampling_the_pair_list(n, k, seed):
-    rng, ref = random.Random(seed), random.Random(seed)
-    pairs = list(combinations(range(n), 2))
-    want = ref.sample(pairs, k) if len(pairs) > k else pairs
-    assert sample_pairs(rng, n, k) == want
-    assert rng.getstate() == ref.getstate()

@@ -24,6 +24,7 @@ from aifs.fourier import (
     mu_hat_grid,
     truncation_tail,
 )
+from aifs.hadamard import PROBE_MAX_PERIOD
 from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_dot, vec_sub
 from aifs.serialize import frequencies_from_dict, system_from_dict
@@ -1029,16 +1030,121 @@ def test_pair_report_matches_the_table_on_fourier_triples(n, k):
     assert_pair_report_is_the_table(an, structural=True)
 
 
+@pytest.mark.parametrize("name", FREQUENCY_ENTRIES)
+def test_pair_report_matches_the_table_on_swapped_catalog_entries(name):
+    # the probe's second orientation (R^T, L, B); d2-p3's swap has the seeds
+    # (-1/2, 0) and (0, -1/2), off Z^2 but in Gamma = {x : 2 x1 - 2 x2 in Z}
+    doc = catalog.load_entry(name)["system"]
+    first = Analysis(system_from_dict(doc), frequencies_from_dict(doc))
+    swap = Analysis(first.dual, first.sys.digits, PROBE_MAX_PERIOD, via="words")
+    assert_pair_report_is_the_table(swap, structural=True)
+
+
+@pytest.mark.parametrize("system, freqs", [
+    # the extreme fixed point 1/3 of x -> (x + 1) / 4 seeds -1/3, which lies
+    # in Gamma = (1/6) Z, the dual of M = 6 Z
+    (sys1d(4, [0, 6]), [0, 1]),
+], ids=["fractional-seed"])
+def test_pair_report_takes_the_lemma_on_seeds_in_the_period_lattice(
+    system, freqs
+):
+    an = Analysis(system, tuple((Fraction(v),) for v in freqs))
+    assert an.spectrum(0).elements == ((Fraction(-1, 3),), (Fraction(0),))
+    assert_pair_report_is_the_table(an, structural=True)
+
+
+@st.composite
+def _triples_1d(draw, n):
+    """R = n k, B = (r - 1) u / h * {j + n t_j} and L = h * {k j + r s_j}:
+    the phases b l / r are (r - 1) u j j' / n mod 1, an n-point Fourier
+    matrix when u is prime to n (r - 1 = n k - 1 always is). Every fixed
+    point l / (r - 1) of the dual is extreme, so seeds off Z are common."""
+    k = draw(st.integers(1 if n > 2 else 2, 3))  # r = n k >= 3
+    u = draw(st.sampled_from([u for u in (1, 2, 3) if math.gcd(u, n) == 1]))
+    h = draw(st.sampled_from([1, 2]))
+    t = [0] + draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+    s = [0] + draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+    r = n * k
+    digits = [Fraction((r - 1) * u * (j + n * t[j]), h) for j in range(n)]
+    return r, digits, [h * (k * j + r * s[j]) for j in range(n)]
+
+
+@st.composite
+def _gamma_seed_triples(draw):
+    """Certified d <= 2 triples: a 1-D Fourier triple, or the product of two
+    2-digit ones conjugated by a unimodular V (R -> V R V^-1, B -> V B,
+    L -> V^-T L)."""
+    if draw(st.booleans()):
+        r, digits, freqs = draw(_triples_1d(draw(st.sampled_from([2, 3]))))
+        return sys1d(r, digits), tuple((Fraction(l),) for l in freqs)
+    (r1, b1, l1), (r2, b2, l2) = draw(_triples_1d(2)), draw(_triples_1d(2))
+    v = Matrix(draw(st.sampled_from([
+        [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]
+    ])))
+    vt_inv = v.inverse().transpose()
+    system = AffineSystem(
+        R=v @ Matrix([[r1, 0], [0, r2]]) @ v.inverse(),
+        digits=tuple(v.mat_vec((x, y)) for x in b1 for y in b2),
+    )
+    freqs = tuple(vt_inv.mat_vec(fvec((x, y))) for x in l1 for y in l2)
+    return system, freqs
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@settings(max_examples=25, deadline=None)
+@given(_gamma_seed_triples())
+def test_pair_report_matches_the_table_on_seeds_in_gamma_off_the_integers(case):
+    system, freqs = case
+    an = Analysis(system, freqs, PROBE_MAX_PERIOD, via="words")
+    assume(any(c.denominator != 1 for x in an.spectrum(0).elements for c in x))
+    assert an.triple.certified
+    assert_pair_report_is_the_table(an, structural=True)
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+def test_pair_report_takes_the_table_where_only_gamma_fails():
+    # b = (-3/2, 3/2) and l = (-1, 0) have b.l = 3/2, so L - L leaves Gamma.
+    # Every other hypothesis holds, and the seed pair and the level-1 pairs
+    # are orthogonal, but 8 of the 28 level-2 pairs are not
+    system = AffineSystem(
+        R=Matrix([[0, 3], [-1, -2]]),
+        digits=((Fraction(0), Fraction(0)), (Fraction(-3, 2), Fraction(3, 2))),
+    )
+    freqs = ((Fraction(0), Fraction(0)), (Fraction(-1), Fraction(0)))
+    an = Analysis(system, freqs, PROBE_MAX_PERIOD, via="words")
+    seeds = an.spectrum(0).elements
+    assert system.R.is_integer and system.uniform and an.triple.certified
+    assert certify_all_pairs(system, seeds).all_orthogonal
+    assert [an.pair_report(n).certified for n in range(3)] == [1, 6, 20]
+    assert an.pair_report(2).n_pairs == 28
+    assert_pair_report_is_the_table(an, structural=False)
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+def test_pair_report_takes_the_table_where_l_leaves_gamma_through_r():
+    # b = (1, -2) and l = (-1, 3/2) have b.l = -4, so l is in the dual of
+    # B - B; but R b = (-8, -5) has (R b).l = 1/2, so l is not in Gamma.
+    # A lemma over the dual of B - B alone would certify all 28 level-3
+    # pairs, of which 4 are not orthogonal
+    system = AffineSystem(
+        R=Matrix([[-2, 3], [-3, 1]]),
+        digits=((Fraction(0), Fraction(0)), (Fraction(1), Fraction(-2))),
+    )
+    freqs = ((Fraction(0), Fraction(0)), (Fraction(-1), Fraction(3, 2)))
+    an = Analysis(system, freqs, PROBE_MAX_PERIOD, via="words")
+    assert an.triple.certified and an.spectrum(0).elements == ((0, 0),)
+    assert [an.pair_report(n).certified for n in range(4)] == [0, 1, 6, 24]
+    assert_pair_report_is_the_table(an, structural=False)
+
+
 @pytest.mark.parametrize("system, freqs", [
     # a certified triple with weights 1/3, 2/3: m(1/4) = -1/3, not 0
     (sys1d(4, [0, 2], [Fraction(1, 3), Fraction(2, 3)]), [0, 1]),
-    # the extreme fixed point 1/3 of x -> (x + 1) / 4 seeds -1/3
-    (sys1d(4, [0, 6]), [0, 1]),
     # not a Hadamard triple (test_verify_onb_not_orthogonal's system)
     (sys1d(4, [0, 1]), [0, 1]),
     # three frequencies for two digits: no square matrix to certify
     (CANTOR4, [0, 1, 4]),
-], ids=["weighted", "fractional-seed", "not-hadamard", "unequal-sizes"])
+], ids=["weighted", "not-hadamard", "unequal-sizes"])
 def test_pair_report_takes_the_table_where_the_lemma_does_not_apply(
     system, freqs
 ):
