@@ -414,6 +414,8 @@ def test_malformed_frequency_names_its_field(capsys, tmp_path):
     [
         ["verify-onb", "SYS", "--level", "2", "--samples", "0"],
         ["probe-conjecture", "SYS", "--samples", "0"],
+        ["probe-conjecture", "SYS", "--samples", "-1"],
+        ["verify-onb", "SYS", "--level", "-1"],
         ["probe-conjecture", "SYS", "--level", "-1"],
         ["attractor", "SYS", "--chaos", "--count", "0"],
         ["attractor", "SYS", "--depth", "-1"],
