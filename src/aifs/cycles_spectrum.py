@@ -25,7 +25,7 @@ from itertools import chain, product
 from math import ceil, floor, lcm
 from operator import add
 
-from .errors import BudgetExceeded, RankDeficient
+from .errors import AifsError, BudgetExceeded, RankDeficient
 from .fourier import _phase_residues
 from .ifs_core import AffineSystem, bounding_box
 from .linalg_exact import Matrix, fvec, int_mat_vec, int_orbits, int_rows, integer_rows
@@ -328,10 +328,32 @@ def search_cycles(
     sys_geom: AffineSystem, sys_dual: AffineSystem, max_period: int, via: str
 ) -> list:
     """Every cycle of the dual system up to max_period, through either
-    search route (the word scan is capped at period 8)."""
+    search route (the word scan is capped at period 8).
+
+    The box route takes its candidates from D* = {x : g.x in Z for g in D},
+    the dual of the digit lattice D (``build_digit_lattice``), inside the
+    dual attractor's box, and keeps an edge x -> S x - l only when its end
+    is a candidate. R D lies in D, so S maps D* into itself, and for x in
+    D*, S x - l lies in D* exactly when l does: a dual digit outside D*
+    gives no edge at all, and every cycle through it would be dropped
+    without a sign. The box route therefore refuses such a digit
+    (AifsError); the word route uses no lattice. With every digit in D*,
+    the box route finds every cycle up to max_period whose points lie in
+    D*, and no others.
+    """
     if via == "box":
-        # x is in the dual lattice iff basis^T x is integral
-        dual_basis = build_digit_lattice(sys_geom).transpose().inverse()
+        basis_t = build_digit_lattice(sys_geom).transpose()
+        # x is in D* iff basis^T x is integral
+        kg, rows = integer_rows(basis_t.rows)
+        kl, nums = integer_rows(sys_dual.digits)
+        for l, num in zip(sys_dual.digits, nums):
+            if any(v % (kg * kl) for v in int_mat_vec(rows, num)):
+                raise AifsError(
+                    "dual digit (%s) lies outside the dual of the digit lattice,"
+                    " so the box route cannot see its cycles; use --via words"
+                    % ", ".join(map(str, l))
+                )
+        dual_basis = basis_t.inverse()
         lo, hi = bounding_box(sys_dual)
         cands = enumerate_box_points(dual_basis, lo, hi)
         return find_cycles_in_box(sys_dual, cands, max_period=max_period)

@@ -39,7 +39,7 @@ from .errors import AifsError, BudgetExceeded
 from .fourier import _symbol, eval_symbol, float_norm, integer_chain, mu_hat_grid
 from .fourier import truncation_tail
 from .ifs_core import AffineSystem, simplex_system
-from .linalg_exact import Matrix, fvec, int_orbits, int_rows, integer_rows
+from .linalg_exact import Matrix, frac, fvec, int_orbits, int_rows, integer_rows
 from .linalg_exact import lattice_numerators, vec_add, vec_sub
 from .torus_dynamics import ZeroSet, _dist_sq_to_lattice, find_zeros, finite_bound
 
@@ -119,14 +119,14 @@ class _Neighbors(dict):
     """Point i -> {j : key_j - key_i in shifts}, filled on demand: a search
     that reads few points builds few sets. Each set probes the shorter side:
     key_i plus every shift when the shifts are no more than the points,
-    else every point's difference to key_i against the shifts."""
+    else every point's difference to key_i against the shifts. ``index``
+    maps each key to its point."""
 
     __slots__ = ("_keys", "_shifts", "_index")
 
-    def __init__(self, keys, shifts):
+    def __init__(self, keys, index, shifts):
         super().__init__()
-        self._keys, self._shifts = keys, frozenset(shifts)
-        self._index = {k: i for i, k in enumerate(keys)}
+        self._keys, self._shifts, self._index = keys, frozenset(shifts), index
 
     def __missing__(self, i):
         key, shifts, index = self._keys[i], self._shifts, self._index
@@ -142,6 +142,10 @@ class _Neighbors(dict):
 class FrequencyLattice:
     """Rational vectors on one lattice (1/den) Z^d, each packed into one int.
 
+    ``points`` are the vectors as ``Fraction`` tuples, ``den`` the lcm of
+    their denominators, ``spans`` each coordinate's numerator range over
+    ``den``, ``keys`` one int per point and ``index`` key -> point (the
+    last one, for a repeated key).
     The key of a numerator vector N is sum_k N_k W^k with W = 2 span + 1,
     span the widest coordinate range. A key difference is then a balanced
     base-W numeral whose digits are the coordinates of N - N', so it
@@ -150,20 +154,30 @@ class FrequencyLattice:
     2 span < W sum to 0 only if all are 0). A pair certificate depends only
     on +-(lam - lam'), so the pair table certifies each |key difference|
     once.
+
+    The build goes column by column: ``frac`` once per entry, one factor
+    per distinct denominator to reach ``den``, and keys += W^k N_k.
     """
 
     def __init__(self, points):
-        self.points = [fvec(p) for p in points]
-        self.den, nums = integer_rows(self.points)
-        if len(set(map(len, nums))) > 1:
+        points = list(points)
+        if len(set(map(len, points))) > 1:
             raise ValueError("dimension mismatch")
-        self.spans = [max(c) - min(c) for c in zip(*nums)]
+        cols = [list(map(frac, col)) for col in zip(*points)]
+        dens = {x.denominator for col in cols for x in col}
+        self.den = math.lcm(1, *dens)
+        factor = {q: self.den // q for q in dens}
+        nums = [[x.numerator * factor[x.denominator] for x in col] for col in cols]
+        self.spans = [max(col) - min(col) for col in nums]
         self.base = 2 * max(self.spans, default=0) + 1
         self._powers = [self.base**i for i in range(len(self.spans))]
-        self.keys = list(map(self._pack, nums))
-
-    def _pack(self, num) -> int:
-        return sum(map(mul, num, self._powers))
+        keys = [0] * len(points)
+        for w, col in zip(self._powers, nums):
+            keys = [k + w * n for k, n in zip(keys, col)]
+        self.keys = keys
+        # d = 0 has no columns to zip back into points
+        self.points = list(zip(*cols)) if cols else [()] * len(points)
+        self.index = {k: i for i, k in enumerate(keys)}
 
     def unpack(self, k: int) -> tuple:
         """The numerators of the difference a key difference k stands for."""
@@ -183,8 +197,8 @@ class FrequencyLattice:
             # off the lattice, or wider than the span: joins no two points
             if any(c.denominator != 1 or abs(c) > self.base // 2 for c in num):
                 continue
-            shifts.append(self._pack(map(int, num)))
-        return _Neighbors(self.keys, shifts)
+            shifts.append(sum(map(mul, map(int, num), self._powers)))
+        return _Neighbors(self.keys, self.index, shifts)
 
     def differences(self) -> Counter:
         """Key differences of all pairs i < j, with their multiplicities."""
@@ -379,7 +393,7 @@ def max_orthogonal_family(
     # the lattice refuses ragged points, so one length stands for all
     if grid and len(lat.spans) != sys.dim:
         raise ValueError("dimension mismatch")
-    if len(set(keys)) != len(keys):
+    if len(lat.index) != len(keys):
         raise ValueError("grid has repeated points")
     if zeros is None:
         zeros = find_zeros(sys)
@@ -404,7 +418,7 @@ def max_orthogonal_family(
         table = lat.statuses(sys, {abs(a - b) for a, b in combinations(keys, 2)})
         certified = "undetermined" not in table.values()
         ok = [k for k, status in table.items() if status == "certified"]
-        neighbors = _Neighbors(keys, ok + [-k for k in ok])
+        neighbors = _Neighbors(keys, lat.index, ok + [-k for k in ok])
     clique = _max_clique(len(grid), neighbors, bound)
     return FamilyReport(
         family=tuple(grid[i] for i in clique),

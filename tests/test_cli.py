@@ -127,6 +127,20 @@ def test_cycles_requires_frequencies(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+def test_box_route_refusal_is_a_usage_error(capsys, tmp_path):
+    # the dual digit (-1/2, 0) lies outside the dual of the digit lattice
+    path = write_system(tmp_path, {
+        "matrix": [[0, 3], [-1, -2]], "digits": [[0, 0], [-3, 3]],
+        "frequencies": [[0, 0], ["-1/2", 0]],
+    })
+    rc, body, err = run(capsys, "cycles", path)
+    assert rc == 2 and body is None
+    assert err.startswith("error: dual digit (-1/2, 0)") and "--via words" in err
+    rc, body, _ = run(capsys, "cycles", path, "--via", "words")
+    assert rc == 0
+
+
 def test_missing_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "zeros", "/no/such/file.json")
     assert rc == 2

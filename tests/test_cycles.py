@@ -23,7 +23,7 @@ from aifs.cycles_spectrum import (
     integer_span_basis,
     spectrum_from_cycles,
 )
-from aifs.errors import BudgetExceeded, RankDeficient
+from aifs.errors import AifsError, BudgetExceeded, RankDeficient
 from aifs.fourier import is_symbol_unimodular
 from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_sub
@@ -161,6 +161,26 @@ def test_box_route_follows_a_cycle_past_its_first_point():
         cycles = extreme_cycles(s, dual, via=via)
         assert {c.key() for c in cycles} == want
         assert sorted(c.period for c in cycles) == [1, 1, 2]
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+def test_box_route_refuses_a_dual_digit_outside_the_dual_lattice():
+    # D, the least R-invariant lattice holding B, is spanned by (-3, 3) and
+    # R (-3, 3) = (9, -3); l = (-1/2, 0) has (-3, 3).l = 3/2, so l is not in
+    # D*, and S x - l leaves D* for every x in it. The extreme fixed point
+    # (1/4, 1/4) = S (1/4, 1/4) - l would have no edge in the box graph.
+    s = AffineSystem(
+        R=Matrix([[0, 3], [-1, -2]]),
+        digits=((Fraction(0), Fraction(0)), (Fraction(-3), Fraction(3))),
+    )
+    dual = dual_of(s, [[0, 0], ["-1/2", 0]])
+    with pytest.raises(AifsError, match=r"dual digit \(-1/2, 0\).*--via words"):
+        extreme_cycles(s, dual, via="box")
+    cycles = extreme_cycles(s, dual, via="words")
+    assert {c.key() for c in cycles} == {
+        frozenset({(Fraction(0), Fraction(0))}),
+        frozenset({(Fraction(1, 4), Fraction(1, 4))}),
+    }
 
 
 def test_word_route_period_two_cycle():

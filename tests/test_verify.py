@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from aifs.fourier import (
 )
 from aifs.hadamard import PROBE_MAX_PERIOD
 from aifs.ifs_core import AffineSystem, simplex_system
-from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_dot, vec_sub
+from aifs.linalg_exact import Matrix, frac, fvec, integer_rows, vec_add, vec_dot, vec_sub
 from aifs.serialize import frequencies_from_dict, system_from_dict
 from aifs.torus_dynamics import (
     ZeroSet,
@@ -546,7 +547,8 @@ def keys_and_shifts(draw):
 @given(keys_and_shifts(), st.randoms(use_true_random=False))
 def test_neighbors_match_brute_force_adjacency(case, rnd):
     keys, shifts = case
-    neighbors = verify._Neighbors(keys, list(shifts))
+    index = {k: i for i, k in enumerate(keys)}
+    neighbors = verify._Neighbors(keys, index, list(shifts))
     order = list(range(len(keys)))
     rnd.shuffle(order)  # each set is built on its first read, in any order
     for i in order + order:
@@ -716,6 +718,64 @@ def test_frequency_lattice_keys_determine_differences():
     diffs = [(Fraction(1, 3), 0), (0, Fraction(9, 2)), (Fraction(-1, 2), -4)]
     neighbors = lat.neighbors(diffs)
     assert [neighbors[i] for i in range(3)] == [{1}, set(), set()]
+
+
+def reference_lattice(points):
+    """The per-point lattice build: (points, den, spans, base, keys, nums)."""
+    pts = [fvec(p) for p in points]
+    den, nums = integer_rows(pts)
+    if len(set(map(len, nums))) > 1:
+        raise ValueError("dimension mismatch")
+    spans = [max(c) - min(c) for c in zip(*nums)]
+    base = 2 * max(spans, default=0) + 1
+    powers = [base**i for i in range(len(spans))]
+    keys = [sum(map(mul, num, powers)) for num in nums]
+    return pts, den, spans, base, keys, nums
+
+
+@st.composite
+def lattice_inputs(draw):
+    """0 to 8 points of one dimension 0..3, each coordinate an int, a
+    Fraction or an "a/b" string."""
+    d = draw(st.integers(0, 3))
+    q = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+    coord = st.one_of(
+        st.integers(-40, 40),
+        q,
+        q.map(lambda x: "%d/%d" % (x.numerator, x.denominator)),
+    )
+    return draw(st.lists(st.tuples(*[coord] * d), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_inputs())
+def test_column_wise_lattice_matches_the_per_point_build(points):
+    lat = verify.FrequencyLattice(points)
+    pts, den, spans, base, keys, nums = reference_lattice(points)
+    assert (lat.points, lat.den, lat.spans, lat.base, lat.keys) == (
+        pts, den, spans, base, keys
+    )
+    assert lat.index == {k: i for i, k in enumerate(keys)}
+    for i, j in combinations(range(len(points)), 2):
+        assert lat.unpack(keys[i] - keys[j]) == tuple(map(sub, nums[i], nums[j]))
+
+
+def test_frequency_lattice_refuses_non_integral_floats():
+    with pytest.raises(TypeError, match="non-integral float"):
+        verify.FrequencyLattice([(0, 1), (Fraction(1, 2), 0.5)])
+    # an integral float is its integer
+    assert verify.FrequencyLattice([(2.0,), (1,)]).keys == [2, 1]
+
+
+@pytest.mark.parametrize(
+    "dup",
+    [(Fraction(1, 2),), ("1/2",), (Fraction(2, 4),)],
+    ids=["fraction", "string", "two-quarters"],
+)
+def test_family_refuses_repeated_points_written_differently(dup):
+    grid = [(0,), (Fraction(1, 2),), (1,), dup]
+    with pytest.raises(ValueError, match="grid has repeated points"):
+        max_orthogonal_family(sys1d(3, [0, 1]), grid)
 
 
 # ---------------------------------------------------------------- pair memo
