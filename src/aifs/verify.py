@@ -142,10 +142,11 @@ class _Neighbors(dict):
 class FrequencyLattice:
     """Rational vectors on one lattice (1/den) Z^d, each packed into one int.
 
-    ``points`` are the vectors as ``Fraction`` tuples, ``den`` the lcm of
-    their denominators, ``spans`` each coordinate's numerator range over
-    ``den``, ``keys`` one int per point and ``index`` key -> point (the
-    last one, for a repeated key).
+    ``points`` are the vectors as ``Fraction`` tuples, built when read
+    (``_point(i)`` builds one), ``den`` the lcm of their denominators,
+    ``spans`` each coordinate's numerator range over ``den``, ``keys`` one
+    int per point and ``index`` key -> point (the last one, for a repeated
+    key).
     The key of a numerator vector N is sum_k N_k W^k with W = 2 span + 1,
     span the widest coordinate range. A key difference is then a balanced
     base-W numeral whose digits are the coordinates of N - N', so it
@@ -156,14 +157,20 @@ class FrequencyLattice:
     once.
 
     The build goes column by column: ``frac`` once per entry, one factor
-    per distinct denominator to reach ``den``, and keys += W^k N_k.
+    per distinct denominator to reach ``den``, and keys += W^k N_k. It
+    keeps the coerced columns and makes no tuple, iterator or list per
+    point: over ``Fraction`` entries it allocates O(d) objects the garbage
+    collector tracks, so even a large grid starts no collection, least of
+    all a full one that would walk every object alive.
     """
 
     def __init__(self, points):
         points = list(points)
         if len(set(map(len, points))) > 1:
             raise ValueError("dimension mismatch")
-        cols = [list(map(frac, col)) for col in zip(*points)]
+        d = len(points[0]) if points else 0
+        # by index: zip(*points) would make one iterator per point
+        cols = [[frac(p[k]) for p in points] for k in range(d)]
         dens = {x.denominator for col in cols for x in col}
         self.den = math.lcm(1, *dens)
         factor = {q: self.den // q for q in dens}
@@ -175,9 +182,16 @@ class FrequencyLattice:
         for w, col in zip(self._powers, nums):
             keys = [k + w * n for k, n in zip(keys, col)]
         self.keys = keys
-        # d = 0 has no columns to zip back into points
-        self.points = list(zip(*cols)) if cols else [()] * len(points)
+        self._cols = cols
         self.index = {k: i for i, k in enumerate(keys)}
+
+    @property
+    def points(self) -> list:
+        # d = 0 has no columns to zip into points
+        return list(zip(*self._cols)) if self._cols else [()] * len(self.keys)
+
+    def _point(self, i: int) -> Vec:
+        return tuple(col[i] for col in self._cols)
 
     def unpack(self, k: int) -> tuple:
         """The numerators of the difference a key difference k stands for."""
@@ -209,7 +223,7 @@ class FrequencyLattice:
 
     def statuses(self, sys: AffineSystem, diffs) -> dict:
         """The certificate status of each key difference, keyed by |k|."""
-        if self.points and len(self.spans) != sys.dim:
+        if self.keys and len(self.spans) != sys.dim:
             raise ValueError("dimension mismatch")
         zero = (0,) * len(self.spans)
         return {
@@ -245,10 +259,10 @@ def certify_all_pairs(sys: AffineSystem, frequencies) -> PairMatrixReport:
     counts = Counter()
     for k, c in diffs.items():
         counts[table[abs(k)]] += c
-    freqs, keys, n = lat.points, lat.keys, len(lat.points)
+    keys, n = lat.keys, len(lat.keys)
     n_pairs = n * (n - 1) // 2
     bad = (
-        (freqs[i], freqs[j]) for i, j in combinations(range(n), 2)
+        (lat._point(i), lat._point(j)) for i, j in combinations(range(n), 2)
         if table[abs(keys[i] - keys[j])] != "certified"
     )
     # the scan for examples runs only when there is one to find
@@ -389,9 +403,9 @@ def max_orthogonal_family(
     expands it (``_Neighbors``).
     """
     lat = FrequencyLattice(grid)
-    grid, keys = lat.points, lat.keys
+    keys = lat.keys
     # the lattice refuses ragged points, so one length stands for all
-    if grid and len(lat.spans) != sys.dim:
+    if keys and len(lat.spans) != sys.dim:
         raise ValueError("dimension mismatch")
     if len(lat.index) != len(keys):
         raise ValueError("grid has repeated points")
@@ -410,20 +424,20 @@ def max_orthogonal_family(
                 pass
     else:
         method = "pairwise"
-        if len(grid) > PAIRWISE_CAP:
+        if len(keys) > PAIRWISE_CAP:
             raise BudgetExceeded(
                 "pairwise certification over %d grid points (cap %d)"
-                % (len(grid), PAIRWISE_CAP)
+                % (len(keys), PAIRWISE_CAP)
             )
         table = lat.statuses(sys, {abs(a - b) for a, b in combinations(keys, 2)})
         certified = "undetermined" not in table.values()
         ok = [k for k, status in table.items() if status == "certified"]
         neighbors = _Neighbors(keys, lat.index, ok + [-k for k in ok])
-    clique = _max_clique(len(grid), neighbors, bound)
+    clique = _max_clique(len(keys), neighbors, bound)
     return FamilyReport(
-        family=tuple(grid[i] for i in clique),
+        family=tuple(map(lat._point, clique)),
         size=len(clique),
-        grid_size=len(grid),
+        grid_size=len(keys),
         certified_maximum=certified,
         method=method,
     )

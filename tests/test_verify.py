@@ -1,6 +1,7 @@
 """Orthogonality certificates, maximal families, Parseval sums."""
 
 import cmath
+import gc
 import math
 from collections import Counter
 from dataclasses import replace
@@ -776,6 +777,61 @@ def test_family_refuses_repeated_points_written_differently(dup):
     grid = [(0,), (Fraction(1, 2),), (1,), dup]
     with pytest.raises(ValueError, match="grid has repeated points"):
         max_orthogonal_family(sys1d(3, [0, 1]), grid)
+
+
+def test_frequency_lattice_build_starts_no_garbage_collection():
+    # far more points than the generation-0 threshold: a build that makes
+    # one tuple or iterator per point starts several collections
+    grid = rational_grid_1d(30, -10, 10)
+    assert len(grid) > 5 * gc.get_threshold()[0]
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        lat = verify.FrequencyLattice(grid)
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+    assert lat.points == grid
+
+
+@st.composite
+def written_grids(draw):
+    """A family grid with each coordinate written as a Fraction, an
+    "a/b" string or, when integral, an int."""
+    sys, grid = draw(family_grids())
+
+    def write(x):
+        forms = [x, "%d/%d" % (x.numerator, x.denominator)]
+        if x.denominator == 1:
+            forms.append(x.numerator)
+        return draw(st.sampled_from(forms))
+
+    return sys, [tuple(map(write, p)) for p in grid]
+
+
+@settings(max_examples=40, deadline=None)
+@given(written_grids())
+def test_reports_read_points_as_their_fraction_copies(case):
+    sys, written = case
+    grid = [fvec(p) for p in written]
+    zeros = find_zeros(sys)
+    # reports compare field by field, and an int read back into a report
+    # would still equal its Fraction, so the types are checked too
+    incomplete = replace(zeros, complete=False)
+    for z, method in ((zeros, "difference-set"), (incomplete, "pairwise")):
+        rep = max_orthogonal_family(sys, written, zeros=z)
+        assert rep == max_orthogonal_family(sys, grid, zeros=z)
+        assert rep.method == method
+        assert all(type(c) is Fraction for p in rep.family for c in p)
+    rep = certify_all_pairs(sys, written)
+    assert rep == certify_all_pairs(sys, grid)
+    assert all(type(c) is Fraction for pair in rep.bad_pairs for p in pair for c in p)
 
 
 # ---------------------------------------------------------------- pair memo
