@@ -15,6 +15,12 @@ length m) whose composite fixed points are computed exactly in integer
 arithmetic -- and they cross-check each other in tests. The word scan, the
 extreme test and the spectrum keep points as integer numerators over one
 denominator per record or level, and build ``Fraction``s once, for output.
+
+|m| = 1 at x exactly when x lies in U = {x : all phases b.x agree mod 1}: a
+positive combination of unit vectors has modulus one only when they
+coincide. An extreme cycle lies in U point by point, so the word route of
+``extreme_cycles`` drops a word at its first point outside U, before the
+rest of its orbit is stepped or any record is built.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from math import ceil, floor, lcm
 from operator import add
 
 from .errors import AifsError, BudgetExceeded, RankDeficient
-from .fourier import _phase_residues
+from .fourier import _phase_residues, _residues
 from .ifs_core import AffineSystem, bounding_box
 from .linalg_exact import Matrix, fvec, int_mat_vec, int_orbits, int_rows, integer_rows
 from .linalg_exact import vec_sub
@@ -230,6 +236,8 @@ def find_cycles_in_box(sys_dual: AffineSystem, candidates, max_period: int) -> l
 #: digit words, of every length up to the period, one word scan may cover
 WORD_BUDGET = 2_000_000
 
+_WORD_PERIOD_CAP = 8  # the longest words either search route scans
+
 
 def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
     """Cycles of x -> S x - l found through digit words.
@@ -250,12 +258,23 @@ def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
     once, for the returned records. The ``WORD_BUDGET`` guard still
     counts all N^m words. A word whose orbit revisits a point strings shorter
     cycles together and is skipped; an orbit that fails to close raises
-    RuntimeError, since that can only be a bug.
+    RuntimeError, since that can only be a bug. Every cycle is returned,
+    unclassified: ``extreme_cycles`` runs the same scan, but drops a word at
+    its first point outside U, where |m| < 1, so only extreme cycles remain.
     """
+    return _scan_words(sys_dual, max_period, None)
+
+
+def _scan_words(sys_dual: AffineSystem, max_period: int, sys_geom) -> list:
+    """The word scan of ``find_cycles_by_words``. Given the geometric
+    system, it drops each word at its first point outside U (see the module
+    docstring), skipping the closure check, and marks the rest extreme."""
     n = sys_dual.n_digits
     d = sys_dual.dim
     if sum(n**m for m in range(1, max_period + 1)) > WORD_BUDGET:
         raise BudgetExceeded("word scan would be larger than %d" % WORD_BUDGET)
+    if sys_geom is not None and sys_geom.dim != d:
+        raise ValueError("dimension mismatch")
     s = sys_dual.R
     a, t = integer_rows(s.rows)
     c, digits = integer_rows(sys_dual.digits)
@@ -280,18 +299,21 @@ def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
         x = int_mat_vec(inv, accs[m])
         pts = []
         for li in word:
+            if sys_geom is not None and len(set(_residues(sys_geom, x, den)[0])) > 1:
+                break  # |m_B| < 1 here: no extreme cycle through this word
             pts.append(x)
             # D (S x - l_i) = T X / a - e a^m L_i, exact for a cycle point
             x = tuple(y // a - z for y, z in zip(int_mat_vec(t, x), stepped[li]))
-        if x != pts[0]:
-            raise RuntimeError(
-                "orbit of word %s does not close up" % (tuple(word),)
-            )
-        key = frozenset(pts)
-        # a primitive word can still revisit a point: it then strings
-        # together shorter cycles through that point, found at their lengths
-        if len(key) == m and key not in cycles:
-            cycles[key] = _canonical(pts, word), den
+        else:
+            if x != pts[0]:
+                raise RuntimeError(
+                    "orbit of word %s does not close up" % (tuple(word),)
+                )
+            key = frozenset(pts)
+            # a primitive word can still revisit a point: it then strings
+            # together shorter cycles, found at their own lengths
+            if len(key) == m and key not in cycles:
+                cycles[key] = _canonical(pts, word), den
         # Duval's successor: repeat the word up to max_period, drop trailing
         # maximal letters, bump the last one
         while len(word) < max_period:
@@ -304,8 +326,9 @@ def find_cycles_by_words(sys_dual: AffineSystem, max_period: int) -> list:
         del accs[len(word):]
     entries = {(y, den) for r, den in cycles.values() for p in r.points for y in p}
     fr = {k: Fraction(*k) for k in entries}  # one Fraction per distinct entry
+    extreme = None if sys_geom is None else True
     records = (CycleRecord(tuple(tuple(fr[y, den] for y in p) for p in r.points),
-                           r.digit_indices) for r, den in cycles.values())
+                           r.digit_indices, extreme) for r, den in cycles.values())
     return sorted(records, key=lambda r: r.points)
 
 
@@ -340,6 +363,10 @@ def search_cycles(
     (AifsError); the word route uses no lattice. With every digit in D*,
     the box route finds every cycle up to max_period whose points lie in
     D*, and no others.
+
+    The cycles come back unclassified. Only those inside U (all phases b.x
+    agree mod 1) are extreme; the word route of ``extreme_cycles`` drops
+    the others during the scan, this function keeps them.
     """
     if via == "box":
         basis_t = build_digit_lattice(sys_geom).transpose()
@@ -358,7 +385,7 @@ def search_cycles(
         cands = enumerate_box_points(dual_basis, lo, hi)
         return find_cycles_in_box(sys_dual, cands, max_period=max_period)
     if via == "words":
-        return find_cycles_by_words(sys_dual, max_period=min(max_period, 8))
+        return find_cycles_by_words(sys_dual, min(max_period, _WORD_PERIOD_CAP))
     raise ValueError("via must be 'box' or 'words'")
 
 
@@ -368,7 +395,15 @@ def extreme_cycles(
     max_period: int = 64,
     via: str = "box",
 ) -> list:
-    """Extreme cycles of the dual system, through either search route."""
+    """Extreme cycles of the dual system, through either search route.
+
+    Every point of an extreme cycle lies in U = {x : all phases b.x agree
+    mod 1}. The word route drops a word at its first point outside U, so it
+    builds no record for, and runs no closure check on, the other cycles.
+    The box route classifies every cycle it finds and keeps the extreme ones.
+    """
+    if via == "words":
+        return _scan_words(sys_dual, min(max_period, _WORD_PERIOD_CAP), sys_geom)
     cycles = search_cycles(sys_geom, sys_dual, max_period, via)
     return [c for c in classify_extreme(sys_geom, cycles) if c.extreme]
 

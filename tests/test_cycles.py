@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aifs import cycles_spectrum
-from aifs.catalog import load_entry, simplex_spectrum_digits
+from aifs.catalog import entry_names, load_entry, simplex_spectrum_digits
 from aifs.cycles_spectrum import (
     CycleRecord,
     SpectrumSet,
@@ -28,6 +28,7 @@ from aifs.fourier import is_symbol_unimodular
 from aifs.ifs_core import AffineSystem, simplex_system
 from aifs.linalg_exact import Matrix, frac, fvec, vec_add, vec_sub
 from aifs.serialize import frequencies_from_dict, system_from_dict
+from aifs.verify import Analysis
 
 
 def sys1d(scale, digits):
@@ -323,12 +324,80 @@ def test_word_cycle_records_satisfy_defining_relation(dual):
 
 
 def test_word_scan_budget_guard_counts_all_words(monkeypatch):
-    # 2 + 4 + 8 + 16 = 30 words up to period 4
+    # 2 + 4 + 8 + 16 = 30 words up to period 4; the extreme word route,
+    # which drops words early, refuses at the same size
     monkeypatch.setattr(cycles_spectrum, "WORD_BUDGET", 30)
     assert find_cycles_by_words(CANTOR4_DUAL, max_period=4)
+    assert extreme_cycles(CANTOR4, CANTOR4_DUAL, 4, "words")
     monkeypatch.setattr(cycles_spectrum, "WORD_BUDGET", 29)
     with pytest.raises(BudgetExceeded):
         find_cycles_by_words(CANTOR4_DUAL, max_period=4)
+    with pytest.raises(BudgetExceeded):
+        extreme_cycles(CANTOR4, CANTOR4_DUAL, 4, "words")
+
+
+def assert_word_route_matches_classified_scan(geom, dual, max_period):
+    """The word route of ``extreme_cycles``, which drops a word at its first
+    point off U, against classifying the full scan and filtering it."""
+    got = extreme_cycles(geom, dual, max_period, "words")
+    want = [
+        c
+        for c in classify_extreme(geom, find_cycles_by_words(dual, max_period))
+        if c.extreme
+    ]
+    assert got == want
+    assert all(c.extreme is True for c in got)
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@settings(max_examples=40, deadline=None)
+@given(expansive_systems(), st.integers(1, 5), st.data())
+def test_word_route_extreme_cycles_match_the_classified_scan(dual, max_period, data):
+    digits = data.draw(
+        st.lists(
+            st.tuples(*[st.one_of(st.integers(-3, 3), _small_fracs)] * dual.dim),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    geom = AffineSystem(R=dual.R.transpose(), digits=tuple(digits))
+    assert_word_route_matches_classified_scan(geom, dual, max_period)
+
+
+@pytest.mark.filterwarnings("ignore:digit set is not integral")
+@pytest.mark.parametrize(
+    "b, l",
+    [
+        ([0, "11/3", "4/3", "5/3"], [6, -5, 4, 1]),
+        ([0, 1, "11/2", "1/2"], [1, -6, -2, -3]),
+        ([0, 1, "8/3", 3], [4, 0, 2, -3]),
+    ],
+)
+def test_word_route_drops_a_cycle_past_its_fixed_point(b, l):
+    # each dual has a cycle whose Lyndon word's fixed point lies in U while a
+    # later point of its orbit does not: testing the fixed point alone would
+    # keep that cycle
+    geom, dual = sys1d(2, b), sys1d(2, l)
+    words = find_cycles_by_words(dual, 5)
+    assert any(
+        len({is_symbol_unimodular(geom, p) for p in c.points}) == 2 for c in words
+    )
+    assert_word_route_matches_classified_scan(geom, dual, 5)
+
+
+def test_word_route_agrees_with_the_analysis_on_bundled_entries():
+    names = [
+        name
+        for name in entry_names()
+        if any(c.get("cross_check_words") for c in load_entry(name)["checks"])
+    ]
+    assert len(names) == 9
+    for name in names:
+        doc = load_entry(name)["system"]
+        sys, freqs = system_from_dict(doc), frequencies_from_dict(doc)
+        an = Analysis(sys, freqs, 6, via="words")
+        assert extreme_cycles(sys, an.dual, 6, "words") == an.extreme, name
 
 
 @pytest.mark.filterwarnings("ignore:digit set is not integral")
@@ -486,6 +555,8 @@ def test_classify_extreme_refuses_points_of_another_dimension():
     rec = CycleRecord(((Fraction(1, 3), Fraction(0)),), (0,))
     with pytest.raises(ValueError, match="dimension"):
         classify_extreme(CANTOR4, [rec])
+    with pytest.raises(ValueError, match="dimension"):  # as the word route
+        extreme_cycles(CANTOR4, d2p3_pair()[1], 2, "words")
 
 
 def test_spectrum_cap_bounds_each_cycle_layer(monkeypatch):
